@@ -107,8 +107,7 @@ from repro.formats.csr import CSRMatrix
 from repro.formats.sgt16 import SGT16Matrix
 from repro.kernels.engine import (
     layer_shard_rows,
-    layer_softmax_mapping,
-    sddmm_a_window,
+    layer_views,
     sddmm_shard_values,
     spmm_shard_rows,
     window_aligned_ranges,
@@ -1272,12 +1271,11 @@ class ClusterScheduler:
         """
         n_rows = fmt.shape[0]
         n_dense = b_q.shape[1]
-        batch = fmt.blocks_as_arrays()
-        offsets = batch.window_offsets
+        layout = fmt.window_layout()
         if target_blocks is None:
-            target_blocks = self._default_target(batch.num_blocks)
-        ranges = window_aligned_ranges(offsets, target_blocks)
-        if batch.num_blocks == 0 or n_dense == 0 or not ranges:
+            target_blocks = self._default_target(layout.num_blocks)
+        ranges = window_aligned_ranges(layout.window_offsets, target_blocks)
+        if n_dense == 0 or not ranges:
             return np.zeros((n_rows, n_dense), dtype=np.float32)
         csr, content_key = self._resolve_identity(fmt, csr, content_key)
         b_q = np.ascontiguousarray(b_q, dtype=np.float32)
@@ -1307,13 +1305,7 @@ class ClusterScheduler:
 
         def inline(task: dict) -> tuple:
             r = task["range"]
-            rows = spmm_shard_rows(
-                batch.values[r.lo : r.hi],
-                batch.columns[r.lo : r.hi],
-                offsets[r.w0 : r.w1 + 1] - offsets[r.w0],
-                b_q,
-                precision,
-            )
+            rows = spmm_shard_rows(layout.view(r.w0, r.w1, precision), b_q)
             return {"row0": r.w0 * fmt.vector_size}, [rows]
 
         assembly = SpmmAssembly(n_rows, n_dense, num_shards=len(ranges))
@@ -1341,15 +1333,13 @@ class ClusterScheduler:
         Returns the ``(num_nonzero_vectors, vector_size)`` value array in
         the layout of ``fmt.vector_values``.
         """
-        v = fmt.vector_size
         k_dense = a_q.shape[1]
-        batch = fmt.blocks_as_arrays(group)
-        offsets = batch.window_offsets
+        layout = fmt.window_layout(group)
         if target_blocks is None:
-            target_blocks = self._default_target(batch.num_blocks)
-        ranges = window_aligned_ranges(offsets, target_blocks)
+            target_blocks = self._default_target(layout.num_blocks)
+        ranges = window_aligned_ranges(layout.window_offsets, target_blocks)
         out_shape = fmt.vector_values.shape
-        if batch.num_blocks == 0 or k_dense == 0 or not ranges:
+        if k_dense == 0 or not ranges:
             return np.zeros(out_shape, dtype=np.float32)
         csr, content_key = self._resolve_identity(fmt, csr, content_key)
         a_q = np.ascontiguousarray(a_q, dtype=np.float32)
@@ -1387,14 +1377,7 @@ class ClusterScheduler:
         def inline(task: dict) -> tuple:
             r = task["range"]
             idx, vals = sddmm_shard_values(
-                batch.values[r.lo : r.hi],
-                batch.columns[r.lo : r.hi],
-                batch.lane_valid[r.lo : r.hi],
-                batch.vector_index[r.lo : r.hi],
-                batch.window_of_block[r.lo : r.hi] - r.w0,
-                sddmm_a_window(a_q, r.w0, r.w1, v),
-                b_q,
-                bool(scale_by_mask),
+                layout.view(r.w0, r.w1, mask=True), a_q, b_q, bool(scale_by_mask)
             )
             return {}, [np.asarray(idx, dtype=np.int64), vals]
 
@@ -1442,12 +1425,11 @@ class ClusterScheduler:
         v = fmt.vector_size
         n_rows = fmt.shape[0]
         n_dense = x_q.shape[1]
-        pbatch = fmt.blocks_as_arrays()
-        offsets = pbatch.window_offsets
+        layout = fmt.window_layout()
         if target_blocks is None:
-            target_blocks = self._default_target(pbatch.num_blocks)
-        ranges = window_aligned_ranges(offsets, target_blocks)
-        if pbatch.num_blocks == 0 or n_dense == 0 or not ranges:
+            target_blocks = self._default_target(layout.num_blocks)
+        ranges = window_aligned_ranges(layout.window_offsets, target_blocks)
+        if n_dense == 0 or not ranges:
             return np.zeros((n_rows, n_dense), dtype=np.float32), {}
         csr, content_key = self._resolve_identity(fmt, csr, content_key)
         a_q = np.ascontiguousarray(a_q, dtype=np.float32)
@@ -1506,36 +1488,9 @@ class ClusterScheduler:
             # In-parent last resort when no v4 host survives: the same
             # fused hook the workers run, on the head's own translation.
             r = task["range"]
-            sbatch = fmt.blocks_as_arrays(group)
-            soffsets = sbatch.window_offsets
-            slo, shi = int(soffsets[r.w0]), int(soffsets[r.w1])
-            local_indptr, entry_vector, entry_lane, vec_lo, vec_count = (
-                layer_softmax_mapping(
-                    csr.indptr,
-                    fmt.partition.nnz_vector_of_entry,
-                    fmt.partition.window_ptr,
-                    r.w0,
-                    r.w1,
-                    v,
-                    n_rows,
-                )
-            )
             rows, timings = layer_shard_rows(
-                sbatch.values[slo:shi],
-                sbatch.columns[slo:shi],
-                sbatch.lane_valid[slo:shi],
-                sbatch.vector_index[slo:shi],
-                sbatch.window_of_block[slo:shi] - r.w0,
-                pbatch.columns[r.lo : r.hi],
-                offsets[r.w0 : r.w1 + 1] - offsets[r.w0],
-                pbatch.lane_valid[r.lo : r.hi],
-                pbatch.vector_index[r.lo : r.hi],
-                local_indptr,
-                entry_vector,
-                entry_lane,
-                vec_lo,
-                vec_count,
-                sddmm_a_window(a_q, r.w0, r.w1, v),
+                *layer_views(fmt, csr.indptr, group, r.w0, r.w1),
+                a_q,
                 b_q,
                 x_q,
                 precision,

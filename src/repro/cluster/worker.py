@@ -11,13 +11,14 @@ of :mod:`repro.cluster.transport`.  Per task it
    the first task for a matrix the O(nnz) translation is a cache hit (the
    cache counters travel back in every result and pong frame, making the
    affinity payoff observable from the head),
-3. slices the task's window-aligned block range out of the format's batch
-   arrays (translation is deterministic, so the worker's batch is
-   bit-identical to the head's) and runs the engine shard hooks
+3. views the task's window range in the format's cached window layout
+   (translation is deterministic, so the worker's layout is bit-identical
+   to the head's) and runs the engine shard hooks
    :func:`~repro.kernels.engine.spmm_shard_rows` /
-   :func:`~repro.kernels.engine.sddmm_shard_values` — the same one-shot
-   whole-window reductions the single-host scheduler runs, hence
-   bit-identical results, and
+   :func:`~repro.kernels.engine.sddmm_shard_values` /
+   :func:`~repro.kernels.engine.layer_shard_rows` — the same whole-window
+   contractions the single-host scheduler runs, hence bit-identical
+   results, and
 4. streams the shard output back (dense row slice for SpMM,
    ``(vector_index, values)`` scatter pairs for SDDMM).
 
@@ -78,8 +79,7 @@ from repro.formats.cache import (
 from repro.formats.csr import CSRMatrix
 from repro.kernels.engine import (
     layer_shard_rows,
-    layer_softmax_mapping,
-    sddmm_a_window,
+    layer_views,
     sddmm_shard_values,
     spmm_shard_rows,
 )
@@ -199,34 +199,19 @@ class WorkerHost:
         if delay > 0.0:  # failure-injection hook for the kill-mid-shard tests
             time.sleep(delay)
         op = header["op"]
-        lo, hi = int(header.get("lo", 0)), int(header.get("hi", 0))
         w0, w1 = int(header.get("w0", 0)), int(header.get("w1", 0))
         if op == "spmm":
             indptr, indices, data, b_q = arrays
             fmt, precision = self._translate(header, indptr, indices, data)
-            batch = fmt.blocks_as_arrays()
-            offsets = batch.window_offsets
-            rows = spmm_shard_rows(
-                batch.values[lo:hi],
-                batch.columns[lo:hi],
-                offsets[w0 : w1 + 1] - offsets[w0],
-                b_q,
-                precision,
-            )
+            rows = spmm_shard_rows(fmt.window_layout().view(w0, w1, precision), b_q)
             reply = {"type": "result", "row0": w0 * fmt.vector_size}
             payload = [rows]
         elif op == "sddmm":
             indptr, indices, data, a_q, b_q = arrays
             fmt, precision = self._translate(header, indptr, indices, data)
-            batch = fmt.blocks_as_arrays(int(header["group"]))
-            v = fmt.vector_size
             idx, vals = sddmm_shard_values(
-                batch.values[lo:hi],
-                batch.columns[lo:hi],
-                batch.lane_valid[lo:hi],
-                batch.vector_index[lo:hi],
-                batch.window_of_block[lo:hi] - w0,
-                sddmm_a_window(a_q, w0, w1, v),
+                fmt.window_layout(int(header["group"])).view(w0, w1, mask=True),
+                a_q,
                 b_q,
                 bool(header.get("scale_by_mask", False)),
             )
@@ -242,47 +227,11 @@ class WorkerHost:
             indptr, indices, data, a_q, b_q, x_q = arrays
             fmt, precision = self._translate(header, indptr, indices, data)
             scale, scale_by_mask = LayerProgram.from_wire(header["program"]).canonical()
-            v = fmt.vector_size
-            pbatch = fmt.blocks_as_arrays()
-            sbatch = fmt.blocks_as_arrays(int(header["group"]))
-            offsets = pbatch.window_offsets
-            soffsets = sbatch.window_offsets
-            lo, hi = int(offsets[w0]), int(offsets[w1])
-            slo, shi = int(soffsets[w0]), int(soffsets[w1])
-            local_indptr, entry_vector, entry_lane, vec_lo, vec_count = (
-                layer_softmax_mapping(
-                    np.asarray(indptr),
-                    fmt.partition.nnz_vector_of_entry,
-                    fmt.partition.window_ptr,
-                    w0,
-                    w1,
-                    v,
-                    fmt.shape[0],
-                )
-            )
+            views = layer_views(fmt, np.asarray(indptr), int(header["group"]), w0, w1)
             rows, timings = layer_shard_rows(
-                sbatch.values[slo:shi],
-                sbatch.columns[slo:shi],
-                sbatch.lane_valid[slo:shi],
-                sbatch.vector_index[slo:shi],
-                sbatch.window_of_block[slo:shi] - w0,
-                pbatch.columns[lo:hi],
-                offsets[w0 : w1 + 1] - lo,
-                pbatch.lane_valid[lo:hi],
-                pbatch.vector_index[lo:hi],
-                local_indptr,
-                entry_vector,
-                entry_lane,
-                vec_lo,
-                vec_count,
-                sddmm_a_window(a_q, w0, w1, v),
-                b_q,
-                x_q,
-                precision,
-                scale,
-                scale_by_mask,
+                *views, a_q, b_q, x_q, precision, scale, scale_by_mask
             )
-            reply = {"type": "result", "row0": w0 * v, "timings": timings}
+            reply = {"type": "result", "row0": w0 * fmt.vector_size, "timings": timings}
             payload = [rows]
         elif op == "segmm":
             data, offsets, weights = arrays

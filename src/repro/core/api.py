@@ -274,10 +274,12 @@ def spmm(
         ``"batched"`` (default) for the vectorized execution engine,
         ``"reference"`` for the per-block emulation loop.
     block_chunk / max_intermediate_bytes:
-        Memory-bounded streaming: iterate the batched engine over
-        block-range slices so peak intermediate memory is O(chunk · v · N)
-        instead of O(n_blocks · v · N).  Values agree with the one-shot run
-        to FP32 round-off; the cost counter is exactly unchanged.
+        Memory-bounded streaming: run the batched engine over
+        window-aligned ranges of about ``block_chunk`` blocks so peak
+        intermediate memory is O(chunk · (k + v) · N) instead of
+        O(n_blocks · (k + v) · N).  Values are bit-identical to the one-shot
+        run across chunking and shards; the cost counter is exactly
+        unchanged.
     workers:
         Shard independent chunk ranges across a thread pool (serving-scale
         parallelism; BLAS releases the GIL).  ``None`` (default) means one

@@ -9,6 +9,8 @@ baselines rely on:
 * :mod:`repro.formats.blocked` — a generic "window of nonzero vectors"
   block format parameterised by the vector height and the TC-block width
   ``k``;
+* :mod:`repro.formats.layout` — the window-bucketed layout the batched
+  engine contracts over (one dense slab per row window);
 * :mod:`repro.formats.mebcrs` — ME-BCRS, FlashSparse's memory-efficient
   format that stores no padded zero vectors (Section 3.5);
 * :mod:`repro.formats.srbcrs` — SR-BCRS, the padding-based format of
@@ -24,6 +26,7 @@ baselines rely on:
 from repro.formats.csr import CSRMatrix
 from repro.formats.windows import WindowPartition, partition_windows
 from repro.formats.blocked import BlockBatch, BlockedVectorFormat
+from repro.formats.layout import WindowLayout, WindowView
 from repro.formats.cache import cached_mebcrs, cached_sgt16, clear_format_cache
 from repro.formats.mebcrs import MEBCRSMatrix
 from repro.formats.srbcrs import SRBCRSMatrix
@@ -43,6 +46,8 @@ __all__ = [
     "partition_windows",
     "BlockBatch",
     "BlockedVectorFormat",
+    "WindowLayout",
+    "WindowView",
     "cached_mebcrs",
     "cached_sgt16",
     "clear_format_cache",

@@ -21,6 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.formats.csr import CSRMatrix
+from repro.formats.layout import WindowLayout
 from repro.formats.windows import WindowPartition, partition_windows
 from repro.ops import segment_ids
 from repro.precision.types import Precision, dtype_for
@@ -47,7 +48,7 @@ class BlockBatch:
         ``(n_blocks,)`` — owning window of each block.
     blocks_per_window / first_block_of_window:
         ``(num_windows,)`` — block count per window and the global index of
-        each window's first block (segment boundaries for window reductions).
+        each window's first block.
     columns:
         ``(n_blocks, group)`` int64 — column index of each vector lane
         (0 on padded lanes; mask with :attr:`lane_valid`).
@@ -81,8 +82,7 @@ class BlockBatch:
         """Indptr-style block offsets per window (``(num_windows + 1,)``).
 
         ``window_offsets[w]:window_offsets[w + 1]`` is window ``w``'s block
-        range — the segment layout consumed by :mod:`repro.ops` when the
-        engine reduces per-block products into per-window sums.
+        range.
         """
         return np.append(self.first_block_of_window, np.int64(self.num_blocks))
 
@@ -248,10 +248,10 @@ class BlockedVectorFormat:
         """Pack every TC block across all windows into padded batch arrays.
 
         ``group`` is the number of vectors per block and defaults to the
-        format's MMA width :attr:`k`; the SDDMM kernels pass their output-tile
-        width instead.  The result is cached on the instance per ``group``, so
-        repeated kernel invocations on the same format (GNN training epochs,
-        benchmark sweeps over dense widths) pay the packing cost once.
+        format's MMA width :attr:`k` (the SDDMM output-tile width is the other
+        grouping in use).  The result is cached on the instance per
+        ``group``.  This is the per-block view of the structure; the batched
+        engine contracts over :meth:`window_layout` instead.
 
         The arrays assume the block structure and values are not mutated after
         the first call, which holds for every translation produced by
@@ -297,6 +297,20 @@ class BlockedVectorFormat:
         )
         cache[group] = batch
         return batch
+
+    def window_layout(self, group: int | None = None) -> WindowLayout:
+        """The window-bucketed layout the batched engine contracts over.
+
+        ``group`` defaults to :attr:`k`, as for :meth:`blocks_as_arrays`.
+        Built straight from the partition (no :class:`BlockBatch`) and
+        cached per ``group`` under the same no-mutation assumption.
+        """
+        group = self.k if group is None else int(group)
+        cache: dict[int, WindowLayout] = self.__dict__.setdefault("_window_layout_cache", {})
+        layout = cache.get(group)
+        if layout is None:
+            layout = cache[group] = WindowLayout.build(self.partition, self.vector_values, group)
+        return layout
 
     # ----------------------------------------------------------- conversions
     def to_csr(self) -> CSRMatrix:

@@ -18,19 +18,20 @@ Every ``execute`` function dispatches on ``FlashSparseConfig.engine``:
   a faithful, instruction-level mirror of the CUDA kernel and the oracle
   the batched engine is validated against;
 * ``engine="batched"`` (the default) routes the numerics through
-  :mod:`repro.kernels.engine`: the format's TC blocks are packed once into
-  padded batch arrays (:meth:`~repro.formats.blocked.BlockedVectorFormat.
-  blocks_as_arrays`), all dense rows are gathered with one fancy index, a
-  single batched matmul replaces the whole MMA loop nest, and window
-  accumulators are reduced with segment sums.
+  :mod:`repro.kernels.engine`: each row window is one dense slab of its TC
+  blocks, windows are bucketed by block count once per translation
+  (:meth:`~repro.formats.blocked.BlockedVectorFormat.window_layout`), and
+  each bucket's contraction is one batched matmul that replaces the whole
+  MMA loop nest for those windows.
 
 The reference/batched contract: both engines produce *exactly* the same
 :class:`~repro.gpu.counters.CostCounter` state (the batched path takes its
 counter from the closed-form ``cost`` functions, which are computed over the
 block-width histogram with the bulk counter APIs and are asserted
 field-for-field equal to the loop's counters), and the same numeric values
-up to FP32 accumulation-order round-off (batched products may associate the
-``k``/feature reduction differently than the per-tile loop).  CSR inputs are
+up to FP32 accumulation-order round-off (a window's product may associate
+its lanes differently than the per-tile loop), bit-identically across the
+batched engine's chunking, threads and serving shards.  CSR inputs are
 translated to the blocked formats through the LRU cache of
 :mod:`repro.formats.cache`, so sweeps and training loops that re-submit the
 same matrix do not pay the translation twice.

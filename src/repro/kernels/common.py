@@ -38,19 +38,19 @@ class FlashSparseConfig:
         instruction-for-instruction.  Both produce the same cost counters
         exactly and the same values up to FP32 round-off.
     block_chunk:
-        Stream the batched engine over block-range slices of this many TC
-        blocks instead of materialising the full ``(n_blocks, v, N)``
-        intermediate; peak intermediate memory becomes O(block_chunk · v · N).
-        ``None`` (default) runs one-shot.  Values agree with the one-shot run
-        to FP32 round-off and cost counters are exactly unchanged.
+        Run the batched engine over window-aligned ranges of about this many
+        TC blocks (a wider window is a range of its own); peak intermediate
+        memory becomes O(block_chunk · (k + v) · N).  ``None`` (default)
+        runs one-shot.  Values are bit-identical to the one-shot run and
+        cost counters are exactly unchanged.
     max_intermediate_bytes:
         Byte budget the streaming chunk size is derived from when
         ``block_chunk`` is not given (``chunk = budget // bytes_per_block``,
         floored at one block).
     workers:
-        Shard independent window-aligned chunk ranges of the batched engine
-        across this many threads (BLAS matmuls release the GIL).  1 (default)
-        stays single-threaded.
+        Run the batched engine's window-aligned ranges on this many threads
+        (BLAS matmuls release the GIL); values stay bit-identical.  1
+        (default) stays single-threaded.
     """
 
     precision: Precision = Precision.FP16

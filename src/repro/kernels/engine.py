@@ -1,50 +1,68 @@
-"""Batched vectorized execution engine shared by the four TCU kernels.
+"""Window-bucketed contraction engine shared by the four TCU kernels.
 
 The reference kernels (``engine="reference"``) walk the TC-block structure
 with a per-(window, block, tile) Python loop, issuing one emulated MMA per
 tile.  That mirrors the CUDA kernel faithfully but is dominated by
 interpreter overhead.  This module is the ``engine="batched"`` execution
-path: it consumes the padded batch arrays of
-:meth:`repro.formats.blocked.BlockedVectorFormat.blocks_as_arrays` and
-replaces the whole loop nest with
+path.  Like FlashSparse, it makes each row window's work one dense product:
+a window with ``nb`` TC blocks of ``group`` vectors is an ``(v, L)`` slab of
+A with ``L = nb·group`` lanes, so
 
-1. one fancy-index gather of every dense row addressed by any block,
-2. one batched matmul over all blocks (the zero-padded lanes of narrow
-   residue blocks contribute exactly the zero register values the loop path
-   feeds its MMAs), and
-3. a segment reduction (:func:`repro.ops.segment_sum` over the window
-   block offsets) plus one scatter into the output.
+* its SpMM is ``(v, L) @ B[cols] (L, N)``, and
+* its SDDMM is ``A[window rows] (v, K) @ B[cols]ᵀ (K, L)``.
+
+Windows are bucketed by blocks per window
+(:class:`~repro.formats.layout.WindowLayout`, cached on the translation
+together with the quantised A slabs), and each bucket runs as one batched
+matmul over its ``W`` same-shaped windows.  Padded lanes hold zero A
+values, exactly the zero registers the reference loop feeds its MMAs.
+There is no per-block product and no reduction pass: the matmul sums a
+window's blocks in its own FP32 accumulation.
+
+One primitive for every consumer
+--------------------------------
+Every consumer contracts a window range ``[w0, w1)`` through the same
+private primitives (:func:`_spmm_into`, :func:`_sddmm_into`) over a
+:meth:`WindowLayout.view <repro.formats.layout.WindowLayout.view>`:
+
+* :func:`spmm_batched` / :func:`sddmm_batched` — the in-process one-shot
+  run, its window-aligned ``block_chunk`` / ``max_intermediate_bytes``
+  chunks and its ``workers`` threads;
+* :func:`spmm_shard_rows` / :func:`sddmm_shard_values` /
+  :func:`layer_shard_rows` — the shard hooks of the process pool
+  (:mod:`repro.serve.scheduler`), the cluster worker hosts and the head's
+  inline fallback (:mod:`repro.cluster`).
+
+A view only selects bucket rows, so every window is contracted by the same
+matmul with the same operand shapes whichever range it falls in.  All of
+these results are therefore bit-identical to one another: chunked ==
+threaded == sharded == one-shot, for SpMM, SDDMM and the fused layer.
 
 Memory-bounded streaming
 ------------------------
-The one-shot SpMM path materialises an ``(n_blocks, vector_size, N)``
-product (plus an equally shaped gather of B rows), which blows up on large
-graphs × wide dense operands.  Passing ``block_chunk`` (a block count) or
-``max_intermediate_bytes`` (a byte budget the chunk size is derived from)
-streams the batch in block-range slices instead: each slice is multiplied,
-reduced per window with :func:`repro.ops.segment_sum_runs`, and accumulated
-into the output, so peak intermediate memory is O(chunk · v · N) while the
-result stays within FP32 round-off of the one-shot run (a window whose
-blocks span a chunk boundary is summed incrementally, which re-associates
-the FP32 additions).  ``workers=K`` additionally shards independent chunk
-ranges across a thread pool — the ranges are aligned to window boundaries
-so no two workers touch the same output rows, and NumPy's BLAS matmuls
-release the GIL, so the shards genuinely overlap.
+The one-shot run materialises, per cache-sized slice of a bucket, the
+``(W, L, N)`` gather of B rows and the ``(W, v, N)`` window products.
+Passing ``block_chunk`` (a block count) or ``max_intermediate_bytes`` (a
+byte budget the chunk size is derived from, see
+:func:`spmm_bytes_per_block`) contracts window-aligned ranges of about that
+many blocks one at a time instead.  A window wider
+than the chunk is a range of its own, never split.  ``workers=K`` runs the
+ranges on a thread pool; ranges own disjoint output rows, and NumPy's BLAS
+matmuls release the GIL, so the threads overlap.
 
 Only the numerics live here.  Cost accounting is closed-form over the
 block-width histogram and stays with each kernel's ``*_cost`` function,
-which produces bit-identical counter state to the reference loop (the parity
-tests assert exact ``CostCounter`` equality and value agreement) — and, by
-construction, counter state that is *exactly* independent of the chunking
-and worker knobs.
+which produces counter state bit-identical to the reference loop and, by
+construction, independent of the chunking and worker knobs.
 
-The engine is quantisation-faithful: the sparse values are re-quantised to
+The engine is quantisation-faithful: the sparse values are quantised to
 the target precision exactly where :func:`repro.gpu.mma.mma_execute` would
 (FP16 storage is already exact; TF32 values are stored in FP32 containers
-and rounded here), and all accumulation happens in FP32, matching
-tensor-core accumulators.  Per-block products may sum the ``k`` dimension in
-a different association order than the 16-column-tile loop, so values agree
-to FP32 round-off, not bit-exactly.
+and rounded once into the cached slab), and all accumulation happens in
+FP32, matching tensor-core accumulators.  A window's matmul may sum its
+``L`` lanes in a different association order than the 16-column-tile loop,
+so values agree with ``engine="reference"`` to FP32 round-off, not
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -55,26 +73,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.formats.blocked import BlockBatch, BlockedVectorFormat
-from repro.ops import segment_ids, segment_softmax, segment_sum, segment_sum_runs
+from repro.formats.blocked import BlockedVectorFormat
+from repro.formats.layout import WindowLayout, WindowView
+from repro.ops import segment_ids, segment_softmax
 from repro.precision.types import Precision, quantize
 
 
 def spmm_bytes_per_block(vector_size: int, group: int, n_dense: int) -> int:
-    """Float32 intermediate bytes one SpMM block contributes to a chunk.
+    """Upper bound on the float32 intermediate bytes one SpMM block adds.
 
-    The (v, N) product slab plus the (group, N) gathered B rows — the figure
-    :func:`resolve_block_chunk` divides a byte budget by.  The serving
-    planner uses the same formula so its budget math can never drift from
-    the engine's.
+    A window range's contraction gathers ``group · N`` B rows per block and
+    writes one ``v · N`` product per *window*.  Every non-empty window has
+    at least one block, so ``(v + group) · N`` floats per block bound both —
+    the figure :func:`resolve_block_chunk` divides a byte budget by.  The
+    serving planner uses the same formula so its budget math can never
+    drift from the engine's.
     """
     return (int(vector_size) + int(group)) * int(n_dense) * 4
 
 
 def sddmm_bytes_per_block(vector_size: int, group: int, k_dense: int) -> int:
-    """Float32 intermediate bytes one SDDMM output block contributes.
+    """Upper bound on the float32 intermediate bytes one SDDMM block adds.
 
-    The gathered A window (v, K) and B rows (group, K) plus the (v, group)
+    The gathered B rows ``(group, K)`` per block, the window's A rows
+    ``(v, K)`` (at most one window per block) and the ``(v, group)``
     accumulator.
     """
     v, g = int(vector_size), int(group)
@@ -88,13 +110,13 @@ def resolve_block_chunk(
     max_intermediate_bytes: int | None,
     workers: int = 1,
 ) -> int:
-    """Blocks per streaming slice; ``num_blocks`` means the one-shot path.
+    """Blocks per streaming range; ``num_blocks`` means the one-shot path.
 
     An explicit ``block_chunk`` wins; otherwise ``max_intermediate_bytes``
     is divided by the per-block intermediate footprint (never below one
     block — the floor under which no streaming granularity exists).  The
     byte budget covers the whole run: with ``workers`` threads each holding
-    one chunk's intermediates concurrently, the per-chunk share is
+    one range's intermediates concurrently, the per-range share is
     ``budget / workers``.
     """
     if block_chunk is not None:
@@ -105,39 +127,142 @@ def resolve_block_chunk(
     return max(1, num_blocks)
 
 
-def _worker_ranges(
-    window_offsets: np.ndarray, num_blocks: int, workers: int
-) -> list[tuple[int, int]]:
-    """Split ``[0, num_blocks)`` into ≤ ``workers`` window-aligned shards.
+def _run_ranges(layout: WindowLayout, chunk: int, workers: int, body) -> None:
+    """Run ``body(w0, w1)`` over window-aligned ranges of ≈ ``chunk`` blocks.
 
-    Shard boundaries snap to window starts so every window's blocks live in
-    exactly one shard — the property that makes concurrent output writes
-    race-free (each shard owns a disjoint set of output rows / vectors).
+    One range covers everything unless the chunk or the worker count asks
+    for more; with ``workers > 1`` the ranges run on a thread pool (each
+    owns disjoint output rows, so the writes never race).
     """
+    n_blocks = layout.num_blocks
     workers = max(1, int(workers))
-    if workers == 1 or num_blocks == 0:
-        return [(0, num_blocks)]
-    bounds = [0]
-    for i in range(1, workers):
-        target = (i * num_blocks) // workers
-        snapped = int(
-            window_offsets[np.searchsorted(window_offsets, target, side="left")]
-        )
-        if bounds[-1] < snapped < num_blocks:
-            bounds.append(snapped)
-    bounds.append(num_blocks)
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
-def _run_sharded(ranges: list[tuple[int, int]], body, workers: int) -> None:
-    """Run ``body(lo, hi)`` over block ranges, threaded when it pays off."""
-    if len(ranges) == 1 or workers <= 1:
-        for lo, hi in ranges:
-            body(lo, hi)
+    if chunk >= n_blocks and workers == 1:
+        body(0, layout.num_windows)
+        return
+    target = min(chunk, -(-n_blocks // workers))
+    ranges = [(r.w0, r.w1) for r in window_aligned_ranges(layout.window_offsets, target)]
+    if workers == 1 or len(ranges) == 1:
+        for w0, w1 in ranges:
+            body(w0, w1)
         return
     with ThreadPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
         # list() re-raises the first worker exception instead of swallowing it.
         list(pool.map(lambda r: body(*r), ranges))
+
+
+# ---------------------------------------------------------------------------
+# The contraction primitives
+# ---------------------------------------------------------------------------
+#: Bytes of gathered dense-operand rows per batched matmul.  A bucket is
+#: contracted in slices of whole windows whose gather stays cache-sized, so
+#: the matmul reads it while it is still hot.  Slicing a bucket never
+#: changes a window's own product.
+GATHER_BYTES = 1 << 20
+#: Most multiply-adds in one window product.  OpenBLAS hands a GEMM above
+#: 2**18 multiply-adds to its thread pool, whose wake-up costs far more than
+#: a window product; staying at or below it keeps every product on the
+#: calling thread.
+MAX_MULADDS = 1 << 18
+#: Output columns per SpMM window product (see :func:`_spmm_into`).
+MAX_COLUMNS = 64
+
+
+def _slices(lanes: int, num_windows: int, row_bytes: int):
+    """Window slices of a bucket whose gathered rows fill ≈ GATHER_BYTES."""
+    step = max(1, GATHER_BYTES // max(1, lanes * row_bytes))
+    return (slice(i, i + step) for i in range(0, num_windows, step))
+
+
+def _spans(total: int, step: int) -> list[tuple[int, int]]:
+    """``[0, total)`` in spans of ``step``, none of width 1 unless
+    ``total`` is (a one-wide product would take the matrix-vector path)."""
+    bounds = list(range(0, total, step)) + [total]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _spmm_into(view: WindowView, b_q: np.ndarray, out: np.ndarray) -> None:
+    """Write the ``(v, N)`` product of every window of ``view`` into
+    ``out[window]`` (``out`` is ``(view.num_windows, v, N)``; empty windows
+    are left untouched).
+
+    Each window is computed as ``(B[cols]ᵀ (N, L) @ slab (L, v))ᵀ``.  In
+    that orientation BLAS keeps ``v`` on its blocked dimension and walks the
+    ``N`` output columns independently, so a column's bits do not depend on
+    ``N`` or on which columns share its product: the server's column-stacked
+    batches of requests split back bit-identically.  A single column would
+    take the matrix-vector path, whose summation order differs, so ``N = 1``
+    runs as two columns.  Products stay within :data:`MAX_MULADDS`: at most
+    :data:`MAX_COLUMNS` columns each, and a window wider than
+    ``MAX_MULADDS / (v · MAX_COLUMNS)`` lanes is summed over fixed lane
+    spans in lane order — both depend only on the format, never on the
+    window range.
+    """
+    n_dense = b_q.shape[1]
+    # One memory order for every consumer: BLAS may pick a different kernel
+    # (and summation order) for a transposed operand.
+    b_q = np.ascontiguousarray(b_q)
+    if n_dense == 1:
+        b_q = np.pad(b_q, ((0, 0), (0, 1)))
+    lane_step = max(1, MAX_MULADDS // (view.vector_size * MAX_COLUMNS))
+    col_spans = _spans(b_q.shape[1], MAX_COLUMNS)
+    for bucket in view.buckets:
+        lane_spans = _spans(bucket.lanes, lane_step)
+        for s in _slices(bucket.lanes, len(bucket.windows), b_q.shape[1] * 4):
+            gathered = b_q[bucket.columns[s]].transpose(0, 2, 1)  # (W, N, L)
+            slab = bucket.values[s]  # (W, L, v)
+            for c0, c1 in col_spans:
+                acc = None
+                for l0, l1 in lane_spans:
+                    prod = gathered[:, c0:c1, l0:l1] @ slab[:, l0:l1]
+                    acc = prod if acc is None else acc + prod
+                c1 = min(c1, n_dense)
+                out[bucket.windows[s], :, c0:c1] = acc.transpose(0, 2, 1)[..., : c1 - c0]
+
+
+def _a_window(a_q: np.ndarray, w0: int, w1: int, v: int) -> np.ndarray:
+    """The zero-padded ``(w1 - w0, v, K)`` SDDMM slab of A rows for a window
+    range."""
+    k_dense = a_q.shape[1]
+    a_win = np.zeros(((w1 - w0) * v, k_dense), dtype=np.float32)
+    lo, hi = w0 * v, min(w1 * v, a_q.shape[0])
+    a_win[: hi - lo] = a_q[lo:hi]
+    return a_win.reshape(w1 - w0, v, k_dense)
+
+
+def _sddmm_into(
+    view: WindowView, a_q: np.ndarray, b_q: np.ndarray, scale_by_mask: bool, out: np.ndarray
+) -> None:
+    """Write the sampled dot products of the range's nonzero vectors into
+    ``out`` (their ``(vec_count, v)`` value block, zero-initialised).
+
+    ``view`` must carry the sampling mask (``mask=True``).  Each window
+    product is ``B[cols] (L, K) @ A[window rows]ᵀ (K, v)``, cut into lane
+    spans of at most :data:`MAX_MULADDS` multiply-adds (the lanes' dot
+    products are independent, so the cut never changes a value).  Only the
+    mask's slots are copied out; the rest stay zero.
+    """
+    v = view.vector_size
+    a_win = _a_window(a_q, view.w0, view.w1, v)
+    b_q = np.ascontiguousarray(b_q)
+    lane_step = max(2, MAX_MULADDS // (v * max(1, b_q.shape[1])))
+    # Every lane's row lands in the layout of the format's vector values;
+    # padded lanes write to the extra last row.
+    dots = np.empty((view.vec_count + 1, v), dtype=np.float32)
+    for bucket in view.buckets:
+        lane = np.arange(bucket.lanes)
+        target = np.where(
+            lane < bucket.counts[:, None], (bucket.starts - view.vec_lo)[:, None] + lane, -1
+        )
+        for s in _slices(bucket.lanes, len(bucket.windows), b_q.shape[1] * 4):
+            gathered = b_q[bucket.columns[s]]  # (W, L, K)
+            a_t = a_win[bucket.windows[s]].transpose(0, 2, 1)  # (W, K, v)
+            for l0, l1 in _spans(bucket.lanes, lane_step):
+                dots[target[s][:, l0:l1]] = gathered[:, l0:l1] @ a_t
+    slots, entries = view.mask
+    sampled = dots.reshape(-1)[slots]
+    out.reshape(-1)[slots] = sampled * entries if scale_by_mask else sampled
 
 
 def spmm_batched(
@@ -148,7 +273,7 @@ def spmm_batched(
     max_intermediate_bytes: int | None = None,
     workers: int = 1,
 ) -> np.ndarray:
-    """Numeric result of ``C = A @ B`` over the whole block batch.
+    """Numeric result of ``C = A @ B``, one batched matmul per window bucket.
 
     Parameters
     ----------
@@ -160,56 +285,34 @@ def spmm_batched(
         Dense operand already quantised to ``precision``, float32, of shape
         ``(fmt.shape[1], N)``.
     precision:
-        Target precision; the stored sparse values are re-quantised to it.
+        Target precision of the sparse values (quantised once into the
+        layout's cached slabs).
     block_chunk, max_intermediate_bytes, workers:
         Memory-bounded streaming knobs (see the module docstring).  The
-        defaults reproduce the one-shot batched path.
+        result is bit-identical for every setting.
     """
+    layout = fmt.window_layout()
     v = fmt.vector_size
-    n_rows = fmt.shape[0]
     n_dense = b_q.shape[1]
-    out = np.zeros((n_rows, n_dense), dtype=np.float32)
-    batch = fmt.blocks_as_arrays()
-    n_blocks = batch.num_blocks
-    if n_blocks == 0 or n_dense == 0:
-        return out
-
-    bytes_per_block = spmm_bytes_per_block(v, batch.group, n_dense)
+    out = np.zeros((layout.num_windows * v, n_dense), dtype=np.float32)
+    if layout.num_blocks == 0 or n_dense == 0:
+        return out[: fmt.shape[0]]
     chunk = resolve_block_chunk(
-        n_blocks, bytes_per_block, block_chunk, max_intermediate_bytes, workers
+        layout.num_blocks,
+        spmm_bytes_per_block(v, layout.group, n_dense),
+        block_chunk,
+        max_intermediate_bytes,
+        workers,
     )
+    layout.values(precision)  # build the cached slabs before any thread starts
+    out3 = out.reshape(layout.num_windows, v, n_dense)
 
-    if chunk >= n_blocks and workers <= 1:
-        a_q = quantize(batch.values, precision).astype(np.float32)
-        gathered = b_q[batch.columns]  # (n_blocks, k, N); padded lanes hit row 0,
-        # which is harmless because the matching A lanes are exactly zero.
-        prod = a_q @ gathered  # batched matmul, (n_blocks, v, N)
-        win_sums = segment_sum(prod, batch.window_offsets)  # (num_windows, v, N)
-        # Window w's sums are rows w*v .. w*v + v - 1 of C; the reshape lays
-        # them out contiguously and the slice drops the partial last window's
-        # out-of-range rows.
-        out[:] = win_sums.reshape(-1, n_dense)[:n_rows]
-        return out
+    def body(w0: int, w1: int) -> None:
+        _spmm_into(layout.view(w0, w1, precision), b_q, out3[w0:w1])
 
-    def body(lo: int, hi: int) -> None:
-        for c_lo in range(lo, hi, chunk):
-            c_hi = min(c_lo + chunk, hi)
-            a_q = quantize(batch.values[c_lo:c_hi], precision).astype(np.float32)
-            prod = a_q @ b_q[batch.columns[c_lo:c_hi]]
-            run_windows, run_sums = segment_sum_runs(
-                prod, batch.window_of_block[c_lo:c_hi]
-            )
-            rows = (run_windows[:, None] * v + np.arange(v)[None, :]).reshape(-1)
-            flat = run_sums.reshape(-1, n_dense)
-            keep = rows < n_rows
-            # += (not =): a window split across chunk boundaries accumulates
-            # its partial sums; each window lives in exactly one shard, so
-            # no two workers ever touch the same rows.
-            out[rows[keep]] += flat[keep]
-
-    ranges = _worker_ranges(batch.window_offsets, n_blocks, workers)
-    _run_sharded(ranges, body, workers)
-    return out
+    _run_ranges(layout, chunk, workers, body)
+    # The partial last window's rows past n_rows are padding.
+    return out[: fmt.shape[0]]
 
 
 def sddmm_batched(
@@ -223,7 +326,7 @@ def sddmm_batched(
     max_intermediate_bytes: int | None = None,
     workers: int = 1,
 ) -> np.ndarray:
-    """Numeric SDDMM output values over the whole output-block batch.
+    """Numeric SDDMM output values, one batched matmul per window bucket.
 
     Parameters
     ----------
@@ -234,17 +337,15 @@ def sddmm_batched(
         ``(fmt.shape[0], K)`` and ``(fmt.shape[1], K)``.
     precision:
         Target precision (the dense operands are assumed pre-quantised; kept
-        for signature symmetry and future per-chunk emulation hooks).
+        for signature symmetry with :func:`spmm_batched`).
     group:
         Nonzero vectors covered by one sparse output TC block (16 for the 8×1
         swap-and-transpose kernel, 8 for the 16×1 baseline).
     scale_by_mask:
         Multiply each sampled dot product by the mask's stored value.
     block_chunk, max_intermediate_bytes, workers:
-        Memory-bounded streaming knobs (see the module docstring).  SDDMM
-        output blocks are independent, so chunked and sharded runs are
-        bit-identical to the one-shot run (every nonzero vector is written
-        by exactly one block).
+        Memory-bounded streaming knobs (see the module docstring); the
+        result is bit-identical for every setting.
 
     Returns
     -------
@@ -252,56 +353,40 @@ def sddmm_batched(
     ``fmt.vector_values``.
     """
     del precision
-    v = fmt.vector_size
-    n_rows = fmt.shape[0]
+    layout = fmt.window_layout(group)
     k_dense = a_q.shape[1]
-    out_values = np.zeros(fmt.vector_values.shape, dtype=np.float32)
-    batch = fmt.blocks_as_arrays(group)
-    n_blocks = batch.num_blocks
-    if n_blocks == 0 or k_dense == 0:
-        return out_values
-
-    a_pad = np.zeros((fmt.num_windows * v, k_dense), dtype=np.float32)
-    a_pad[:n_rows] = a_q
-    a_win = a_pad.reshape(fmt.num_windows, v, k_dense)
-
-    bytes_per_block = sddmm_bytes_per_block(v, group, k_dense)
+    if layout.num_blocks == 0 or k_dense == 0:
+        return np.zeros(fmt.vector_values.shape, dtype=np.float32)
     chunk = resolve_block_chunk(
-        n_blocks, bytes_per_block, block_chunk, max_intermediate_bytes, workers
+        layout.num_blocks,
+        sddmm_bytes_per_block(fmt.vector_size, group, k_dense),
+        block_chunk,
+        max_intermediate_bytes,
+        workers,
     )
 
-    def body(lo: int, hi: int) -> None:
-        for c_lo in range(lo, hi, chunk):
-            c_hi = min(c_lo + chunk, hi)
-            a_blocks = a_win[batch.window_of_block[c_lo:c_hi]]  # (chunk, v, K)
-            b_blocks = b_q[batch.columns[c_lo:c_hi]]  # (chunk, group, K)
-            acc = a_blocks @ b_blocks.transpose(0, 2, 1)  # (chunk, v, group)
+    layout.mask()  # build the cached mask before any thread starts
+    out = np.zeros(fmt.vector_values.shape, dtype=np.float32)
 
-            values = batch.values[c_lo:c_hi]
-            sampled = np.where(values != 0.0, acc, 0.0)
-            if scale_by_mask:
-                sampled = sampled * values
-            # Scatter each valid lane's column back to its nonzero vector;
-            # every vector belongs to exactly one block, so the writes of
-            # distinct chunks (and shards) are disjoint.
-            lanes = batch.lane_valid[c_lo:c_hi]
-            out_values[batch.vector_index[c_lo:c_hi][lanes]] = sampled.transpose(0, 2, 1)[lanes]
+    def body(w0: int, w1: int) -> None:
+        # Every vector belongs to exactly one window, so the ranges' value
+        # blocks are disjoint.
+        view = layout.view(w0, w1, mask=True)
+        _sddmm_into(view, a_q, b_q, scale_by_mask, out[view.vec_lo : view.vec_lo + view.vec_count])
 
-    ranges = _worker_ranges(batch.window_offsets, n_blocks, workers)
-    _run_sharded(ranges, body, workers)
-    return out_values
+    _run_ranges(layout, chunk, workers, body)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Shard execution hooks (multi-process serving)
+# Shard execution hooks (multi-process and multi-host serving)
 # ---------------------------------------------------------------------------
-# The functions below are the per-shard numeric cores the serving scheduler
-# (:mod:`repro.serve.scheduler`) runs inside worker *processes*.  They take
-# plain ndarrays (cheap to pickle per shard; the large dense operands travel
-# via shared memory) and reproduce the one-shot batched path bit-for-bit:
-# a shard covers a *window-aligned* block range, so every window's reduceat
-# segment is reduced whole, in the same association order as the full-batch
-# reduction — no FP32 re-association, unlike the incremental chunk merge.
+# The functions below are what the serving scheduler's worker *processes*,
+# the cluster worker hosts and the head's inline fallback run per shard.
+# They take a window view (a few small arrays, cheap to pickle per shard;
+# the large dense operands travel via shared memory or the pinned store)
+# and go through the same primitives as the one-shot path above, so every
+# shard result is bit-identical to the single-process run.
 
 
 @dataclass(frozen=True)
@@ -356,66 +441,33 @@ def window_aligned_ranges(
     return ranges
 
 
-def sddmm_a_window(a_q: np.ndarray, w0: int, w1: int, v: int) -> np.ndarray:
-    """The zero-padded ``(w1 - w0, v, K)`` slab of A rows for a window range.
+def spmm_shard_rows(view: WindowView, b_q: np.ndarray) -> np.ndarray:
+    """Dense output rows of one window range of an SpMM.
 
-    Identical to the slab the one-shot engine gathers for those windows, so
-    every shard consumer — the in-process pool, the in-parent fallback and
-    the cluster worker hosts — feeds :func:`sddmm_shard_values` bit-identical
-    inputs.
+    ``view`` is ``layout.view(w0, w1, precision)`` of the format's SpMM
+    layout.  Returns the ``((w1 - w0) · v, N)`` row block starting at
+    matrix row ``w0 · v`` (the caller clips the tail window past
+    ``n_rows``).
     """
-    k_dense = a_q.shape[1]
-    a_win = np.zeros(((w1 - w0) * v, k_dense), dtype=np.float32)
-    lo, hi = w0 * v, min(w1 * v, a_q.shape[0])
-    a_win[: hi - lo] = a_q[lo:hi]
-    return a_win.reshape(w1 - w0, v, k_dense)
-
-
-def spmm_shard_rows(
-    shard_values: np.ndarray,
-    shard_columns: np.ndarray,
-    local_offsets: np.ndarray,
-    b_q: np.ndarray,
-    precision: Precision,
-) -> np.ndarray:
-    """Dense output rows of one window-aligned SpMM shard (one-shot order).
-
-    ``shard_values`` / ``shard_columns`` are the batch slices of the shard's
-    block range, ``local_offsets`` the shard-local window offsets
-    (``window_offsets[w0:w1 + 1] - lo``).  Returns the ``(windows · v, N)``
-    row block starting at matrix row ``w0 · v`` (the caller clips the tail
-    window past ``n_rows``).
-    """
-    a_q = quantize(shard_values, precision).astype(np.float32)
-    prod = a_q @ b_q[shard_columns]
-    win_sums = segment_sum(prod, local_offsets)
-    return win_sums.reshape(-1, b_q.shape[1])
+    rows = np.zeros((view.num_windows, view.vector_size, b_q.shape[1]), dtype=np.float32)
+    _spmm_into(view, b_q, rows)
+    return rows.reshape(-1, b_q.shape[1])
 
 
 def sddmm_shard_values(
-    shard_values: np.ndarray,
-    shard_columns: np.ndarray,
-    shard_lane_valid: np.ndarray,
-    shard_vector_index: np.ndarray,
-    local_window_of_block: np.ndarray,
-    a_win: np.ndarray,
-    b_q: np.ndarray,
-    scale_by_mask: bool,
+    view: WindowView, a_q: np.ndarray, b_q: np.ndarray, scale_by_mask: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled values of one window-aligned SDDMM shard.
+    """Sampled values of one window range of an SDDMM.
 
-    ``a_win`` is the zero-padded ``(w1 - w0, v, K)`` slab of A rows for the
-    shard's windows; ``local_window_of_block`` indexes into it.  Returns
-    ``(vector_indices, values)`` — the flat scatter targets into
-    ``fmt.vector_values`` and the ``(n, v)`` rows to store there.  Bit-
-    identical to the one-shot path: every output block is independent.
+    ``view`` is ``layout.view(w0, w1, mask=True)`` of the format's
+    SDDMM-grouping layout; ``a_q`` / ``b_q`` are the whole dense operands.
+    Returns ``(vector_indices, values)`` — the range's nonzero vectors (a
+    contiguous run of ``fmt.vector_values`` rows) and the ``(n, v)`` rows
+    to store there.
     """
-    acc = a_win[local_window_of_block] @ b_q[shard_columns].transpose(0, 2, 1)
-    sampled = np.where(shard_values != 0.0, acc, 0.0)
-    if scale_by_mask:
-        sampled = sampled * shard_values
-    lanes = shard_lane_valid
-    return shard_vector_index[lanes], sampled.transpose(0, 2, 1)[lanes]
+    out = np.zeros((view.vec_count, view.vector_size), dtype=np.float32)
+    _sddmm_into(view, a_q, b_q, scale_by_mask, out)
+    return np.arange(view.vec_lo, view.vec_lo + view.vec_count), out
 
 
 # ---------------------------------------------------------------------------
@@ -424,26 +476,27 @@ def sddmm_shard_values(
 # A GAT/AGNN-style attention layer is SDDMM → (scale) → edge softmax → SpMM.
 # Served one kernel at a time that costs three request cycles per layer, each
 # re-gathering dense operands and re-acquiring the translation.  The fused
-# hook below executes the *whole* pipeline for one window-aligned shard.
+# hook below executes the *whole* pipeline for one window range.
 #
-# Why this is possible per shard, bit-identically: shard boundaries are
-# window-aligned, windows are ``vector_size`` consecutive rows, so a shard
-# owns whole CSR rows — every softmax segment (one CSR row) lies entirely
-# inside one shard, and :func:`repro.ops.segment_softmax` computes each
-# segment from its own elements only.  The SDDMM and SpMM stages were
-# already shard-local.  The one representational hop — SDDMM emits values
-# in nonzero-vector layout, the softmax wants CSR edge order, the SpMM
-# wants the block batch again — is a pair of gathers/scatters through the
-# shared :class:`~repro.formats.windows.WindowPartition`, computed locally
-# by :func:`layer_softmax_mapping` from the partition + CSR indptr; nothing
-# extra has to travel on the wire for the cluster's ``layer_task`` frames.
+# Why this is possible per range, bit-identically: ranges are whole windows,
+# windows are ``vector_size`` consecutive rows, so a range owns whole CSR
+# rows — every softmax segment (one CSR row) lies entirely inside it, and
+# :func:`repro.ops.segment_softmax` computes each segment from its own
+# elements only.  The SDDMM and SpMM stages were already range-local.  The
+# one representational hop — SDDMM emits values in nonzero-vector layout,
+# the softmax wants CSR edge order, the SpMM wants window slabs again — is a
+# pair of gathers/scatters through the shared
+# :class:`~repro.formats.windows.WindowPartition` (computed locally by
+# :func:`layer_softmax_mapping` from the partition + CSR indptr) and one
+# gather through the SpMM layout's cached lane→vector map; nothing extra has
+# to travel on the wire for the cluster's ``layer_task`` frames.
 #
 # The composed serving path additionally *translates* the attention CSR
 # before the SpMM, which stores the values as ``dtype_for(precision)``.
-# Skipping that round trip is exact because :func:`spmm_shard_rows` applies
-# ``quantize`` anyway and quantisation is idempotent (an FP16 round trip
-# and TF32 mantissa rounding are both projections), so the fused SpMM sees
-# the same quantised values the composed one does.
+# Skipping that round trip is exact because the fused stage applies
+# ``quantize`` to the slab and quantisation is idempotent (an FP16 round
+# trip and TF32 mantissa rounding are both projections), so the fused SpMM
+# contracts the same slabs the composed one does.
 
 
 def layer_softmax_mapping(
@@ -464,9 +517,9 @@ def layer_softmax_mapping(
     shard's ``(vec_count, v)`` nonzero-vector value slab (vector ids local
     to ``vec_lo = window_ptr[w0]``), exactly the scatter the translation
     performs — so a gather through them reads SDDMM outputs in CSR edge
-    order and a scatter writes attention weights back into block-value
-    layout.  Everything derives from the partition and the CSR ``indptr``;
-    a cluster worker computes it locally per task.
+    order and a scatter writes attention weights back into vector layout.
+    Everything derives from the partition and the CSR ``indptr``; a cluster
+    worker computes it locally per task.
     """
     v = int(vector_size)
     r0 = int(w0) * v
@@ -483,60 +536,58 @@ def layer_softmax_mapping(
     return local_indptr, entry_vector, entry_lane, vec_lo, vec_count
 
 
+def layer_views(
+    fmt: BlockedVectorFormat, indptr: np.ndarray, group: int, w0: int, w1: int
+) -> tuple[WindowView, WindowView, tuple]:
+    """``(spmm_view, sddmm_view, mapping)`` of windows ``[w0, w1)``: the
+    format-side inputs of :func:`layer_shard_rows`, built the same way by
+    every consumer.  ``indptr`` is the mask's CSR row layout and ``group``
+    the SDDMM output grouping."""
+    part = fmt.partition
+    mapping = layer_softmax_mapping(
+        indptr, part.nnz_vector_of_entry, part.window_ptr, w0, w1, fmt.vector_size, fmt.shape[0]
+    )
+    return (
+        fmt.window_layout().view(w0, w1),
+        fmt.window_layout(group).view(w0, w1, mask=True),
+        mapping,
+    )
+
+
 def layer_shard_rows(
-    sddmm_values: np.ndarray,
-    sddmm_columns: np.ndarray,
-    sddmm_lane_valid: np.ndarray,
-    sddmm_vector_index: np.ndarray,
-    sddmm_local_window_of_block: np.ndarray,
-    spmm_columns: np.ndarray,
-    spmm_local_offsets: np.ndarray,
-    spmm_lane_valid: np.ndarray,
-    spmm_vector_index: np.ndarray,
-    local_indptr: np.ndarray,
-    entry_vector: np.ndarray,
-    entry_lane: np.ndarray,
-    vec_lo: int,
-    vec_count: int,
-    a_win: np.ndarray,
+    spmm_view: WindowView,
+    sddmm_view: WindowView,
+    mapping: tuple,
+    a_q: np.ndarray,
     b_q: np.ndarray,
     x_q: np.ndarray,
     precision: Precision,
     scale: float | None,
     scale_by_mask: bool,
 ) -> tuple[np.ndarray, dict]:
-    """Dense output rows of one fused-layer shard, plus per-stage seconds.
+    """Dense output rows of one fused-layer window range, plus per-stage seconds.
 
-    Executes SDDMM → (scale) → edge softmax → SpMM for one window-aligned
-    shard without leaving the worker: the ``sddmm_*`` arguments are the
-    shard's slices of the SDDMM-grouping block batch (as for
-    :func:`sddmm_shard_values`), the ``spmm_*`` arguments the slices of the
-    SpMM-grouping batch (as for :func:`spmm_shard_rows` — the two groupings
-    cover the same windows but different block counts), and the mapping
-    arguments come from :func:`layer_softmax_mapping`.  ``a_win`` / ``b_q``
-    are the SDDMM operands, ``x_q`` the SpMM dense operand; ``scale``
-    multiplies the edge logits in float32 before the softmax (the AGNN β).
+    Executes SDDMM → (scale) → edge softmax → SpMM for one window range
+    without leaving the worker.  ``sddmm_view`` is the range's view of the
+    SDDMM-grouping layout with its sampling mask (``mask=True``),
+    ``spmm_view`` the same range of the SpMM-grouping layout (structure
+    only: its A slabs are the attention weights computed here), and
+    ``mapping`` the :func:`layer_softmax_mapping` of the range —
+    :func:`layer_views` builds all three.  ``a_q`` / ``b_q`` are the SDDMM
+    operands, ``x_q`` the SpMM dense operand; ``scale`` multiplies the edge
+    logits in float32 before the softmax (the AGNN β).
 
     Returns ``(rows, timings)``: the ``(windows · v, N)`` output rows
     starting at matrix row ``w0 · v`` (caller clips the tail window) and a
     ``{"sddmm_s", "edge_softmax_s", "spmm_s"}`` wall-clock split.
     """
+    local_indptr, entry_vector, entry_lane, vec_lo, vec_count = mapping
+    v = spmm_view.vector_size
     t0 = time.perf_counter()
-    idx, vals = sddmm_shard_values(
-        sddmm_values,
-        sddmm_columns,
-        sddmm_lane_valid,
-        sddmm_vector_index,
-        sddmm_local_window_of_block,
-        a_win,
-        b_q,
-        scale_by_mask,
-    )
-    t1 = time.perf_counter()
-    # SDDMM output → CSR edge order → per-row softmax → block-value layout.
-    v = a_win.shape[1]
     logits_vec = np.zeros((vec_count, v), dtype=np.float32)
-    logits_vec[idx - vec_lo] = vals
+    _sddmm_into(sddmm_view, a_q, b_q, scale_by_mask, logits_vec)
+    t1 = time.perf_counter()
+    # SDDMM output → CSR edge order → per-row softmax → vector layout.
     logits_csr = logits_vec[entry_vector, entry_lane]
     if scale is not None:
         logits_csr = logits_csr * np.float32(scale)
@@ -544,19 +595,15 @@ def layer_shard_rows(
     attn_vec = np.zeros_like(logits_vec)
     attn_vec[entry_vector, entry_lane] = attn_csr
     t2 = time.perf_counter()
-    # Rebuild the shard's SpMM block values from the attention slab — the
-    # same gather ``blocks_as_arrays`` performs, with padded lanes masked
-    # *before* localising the vector ids (a padded lane's global id is 0,
-    # which would go negative under ``- vec_lo``).
-    safe = np.where(spmm_lane_valid, spmm_vector_index - vec_lo, 0)
-    gathered = attn_vec[safe]  # (n_blocks, group, v)
-    gathered[~spmm_lane_valid] = 0.0
-    attn_values = np.ascontiguousarray(gathered.transpose(0, 2, 1))
-    rows = spmm_shard_rows(attn_values, spmm_columns, spmm_local_offsets, x_q, precision)
+    # The attention slabs, gathered through each bucket's lane→vector map.
+    attn_q = quantize(attn_vec, precision)
+    buckets = tuple(b.with_values(b.gather(attn_q, vec_lo)) for b in spmm_view.buckets)
+    rows = np.zeros((spmm_view.num_windows, v, x_q.shape[1]), dtype=np.float32)
+    _spmm_into(WindowView(spmm_view.w0, spmm_view.w1, v, buckets), x_q, rows)
     t3 = time.perf_counter()
     timings = {
         "sddmm_s": t1 - t0,
         "edge_softmax_s": t2 - t1,
         "spmm_s": t3 - t2,
     }
-    return rows, timings
+    return rows.reshape(-1, x_q.shape[1]), timings

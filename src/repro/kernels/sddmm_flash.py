@@ -150,8 +150,8 @@ def sddmm_flash_execute(
     n_chunks = _ceil_div(k_dense, mma_k)
     elem = element_bytes(precision)
 
-    a_q = quantize(a, precision).astype(np.float32)
-    b_q = quantize(b, precision).astype(np.float32)
+    a_q = quantize(a, precision)
+    b_q = quantize(b, precision)
     if config.engine == "batched" and k_dense > 0:
         out_values = sddmm_batched(
             fmt,

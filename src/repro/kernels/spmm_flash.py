@@ -157,10 +157,10 @@ def spmm_flash_execute(
             f"format block width k={fmt.k} does not match precision {precision} (expects k={k})"
         )
 
-    b_q = quantize(b, precision).astype(np.float32)
+    b_q = quantize(b, precision)
     if config.engine == "batched" and n_dense > 0:
-        # One batched matmul over all TC blocks (streamed in block-range
-        # chunks when the config bounds intermediate memory); the counter
+        # One batched matmul per window bucket (over window-aligned ranges
+        # when the config bounds intermediate memory); the counter
         # comes from the closed-form cost pass, which is bit-identical to
         # the loop below and independent of the streaming knobs.
         out = spmm_batched(fmt, b_q, precision, **config.engine_stream_kwargs)

@@ -121,7 +121,7 @@ def spmm_tcu16_execute(
     n_tiles = _ceil_div(n_dense, dense_tile)
     k = shape.k
 
-    b_q = quantize(b, precision).astype(np.float32)
+    b_q = quantize(b, precision)
     if config.engine == "batched" and n_dense > 0:
         # The swap-and-transpose identity makes the 16×1 numerics identical
         # in shape to the 8×1 path, so both share the batched engine

@@ -43,10 +43,6 @@ Concretely:
   far below FP32 resolution — which is why the GNN backends' vectorized
   edge softmax agrees with the per-row reference oracle to FP32 round-off;
 * max-based operations carry no round-off at all and agree bit-exactly.
-
-Callers that need the exact association of a kernel's emulation loop (the
-batched execution engine's window reduction) keep their data in FP32 and
-accept the documented FP32-round-off tolerance of the engine contract.
 """
 
 from repro.ops.segment import (
@@ -60,7 +56,6 @@ from repro.ops.segment import (
     segment_softmax,
     segment_softmax_backward,
     segment_sum,
-    segment_sum_runs,
 )
 
 __all__ = [
@@ -74,5 +69,4 @@ __all__ = [
     "segment_softmax",
     "segment_softmax_backward",
     "segment_sum",
-    "segment_sum_runs",
 ]

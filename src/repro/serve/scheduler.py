@@ -14,22 +14,24 @@ Execution model
   worker.  Workers write their shard's output rows directly into the shared
   output; shards are window-aligned, so no two workers ever touch the same
   rows and no locking is needed.
-* The **sparse shard slices** (block values, columns, window offsets) are
-  small and travel with each task through the pool's pickle channel; this
-  keeps workers stateless, so any worker can run any shard — the pool's
-  internal queue is the work queue.
+* The **sparse shard slices** (the shard's
+  :class:`~repro.formats.layout.WindowView`: bucket lane maps and A slabs)
+  are small and travel with each task through the pool's pickle channel;
+  this keeps workers stateless, so any worker can run any shard — the
+  pool's internal queue is the work queue.
 * Each shard is retried ``retries`` times on failure; a shard that exhausts
   its retries falls back to in-parent execution, so one bad worker degrades
   throughput, not correctness.
 
 Bit-exactness
 -------------
-Every shard runs the one-shot reduction of
+Every shard contracts whole windows through
 :func:`repro.kernels.engine.spmm_shard_rows` /
-:func:`~repro.kernels.engine.sddmm_shard_values` over whole windows, which
-reproduces the single-process ``engine="batched"`` one-shot values
-bit-for-bit (see the engine module docstring).  The parity tests assert
-exact equality, not allclose.
+:func:`~repro.kernels.engine.sddmm_shard_values` /
+:func:`~repro.kernels.engine.layer_shard_rows`, the same primitive as the
+single-process ``engine="batched"`` run, so it reproduces the one-shot
+values bit-for-bit (see the engine module docstring).  The parity tests
+assert exact equality, not allclose.
 """
 
 from __future__ import annotations
@@ -43,10 +45,8 @@ import numpy as np
 
 from repro.formats.blocked import BlockedVectorFormat
 from repro.kernels.engine import (
-    ShardRange,
     layer_shard_rows,
-    layer_softmax_mapping,
-    sddmm_a_window,
+    layer_views,
     sddmm_shard_values,
     spmm_shard_rows,
     window_aligned_ranges,
@@ -134,13 +134,7 @@ def _run_spmm_shard(task: dict) -> int:
     b_shm, b_q = _attach(task["b"])
     out_shm, out = _attach(task["out"])
     try:
-        rows = spmm_shard_rows(
-            task["values"],
-            task["columns"],
-            task["local_offsets"],
-            b_q,
-            Precision(task["precision"]),
-        )
+        rows = spmm_shard_rows(task["view"], b_q)
         row0 = task["row0"]
         stop = min(row0 + rows.shape[0], out.shape[0])
         out[row0:stop] = rows[: stop - row0]
@@ -157,16 +151,7 @@ def _run_sddmm_shard(task: dict) -> int:
     b_shm, b_q = _attach(task["b"])
     out_shm, out = _attach(task["out"])
     try:
-        idx, vals = sddmm_shard_values(
-            task["values"],
-            task["columns"],
-            task["lane_valid"],
-            task["vector_index"],
-            task["local_window_of_block"],
-            sddmm_a_window(a_q, task["w0"], task["w1"], task["v"]),
-            b_q,
-            task["scale_by_mask"],
-        )
+        idx, vals = sddmm_shard_values(task["view"], a_q, b_q, task["scale_by_mask"])
         out[idx] = vals
     finally:
         a_shm.close()
@@ -184,21 +169,8 @@ def _run_layer_shard(task: dict) -> tuple[int, dict]:
     out_shm, out = _attach(task["out"])
     try:
         rows, timings = layer_shard_rows(
-            task["sddmm_values"],
-            task["sddmm_columns"],
-            task["sddmm_lane_valid"],
-            task["sddmm_vector_index"],
-            task["sddmm_local_window_of_block"],
-            task["spmm_columns"],
-            task["spmm_local_offsets"],
-            task["spmm_lane_valid"],
-            task["spmm_vector_index"],
-            task["local_indptr"],
-            task["entry_vector"],
-            task["entry_lane"],
-            task["vec_lo"],
-            task["vec_count"],
-            sddmm_a_window(a_q, task["w0"], task["w1"], task["v"]),
+            *task["views"],
+            a_q,
             b_q,
             x_q,
             Precision(task["precision"]),
@@ -359,12 +331,11 @@ class ShardScheduler:
         v = fmt.vector_size
         n_rows = fmt.shape[0]
         n_dense = b_q.shape[1]
-        batch = fmt.blocks_as_arrays()
-        offsets = batch.window_offsets
+        layout = fmt.window_layout()
         if target_blocks is None:
-            target_blocks = max(1, -(-batch.num_blocks // self.workers))
-        ranges = window_aligned_ranges(offsets, target_blocks)
-        if batch.num_blocks == 0 or n_dense == 0 or not ranges:
+            target_blocks = max(1, -(-layout.num_blocks // self.workers))
+        ranges = window_aligned_ranges(layout.window_offsets, target_blocks)
+        if n_dense == 0 or not ranges:
             return np.zeros((n_rows, n_dense), dtype=np.float32)
 
         use_pool = self.workers > 1 and shared_memory is not None
@@ -380,14 +351,21 @@ class ShardScheduler:
                 out_view = np.zeros((n_rows, n_dense), dtype=np.float32)
 
             tasks = [
-                self._spmm_task(batch, offsets, r, i, b_desc, out_desc, precision, _inject_failures)
+                {
+                    "kind": "spmm",
+                    "shard": i,
+                    "attempt": 1,
+                    "fail_times": (_inject_failures or {}).get(i, 0),
+                    "view": layout.view(r.w0, r.w1, precision),
+                    "row0": r.w0 * v,
+                    "b": b_desc,
+                    "out": out_desc,
+                }
                 for i, r in enumerate(ranges)
             ]
 
             def inline(task: dict) -> None:
-                rows = spmm_shard_rows(
-                    task["values"], task["columns"], task["local_offsets"], b_q, precision
-                )
+                rows = spmm_shard_rows(task["view"], b_q)
                 row0 = task["row0"]
                 stop = min(row0 + rows.shape[0], n_rows)
                 out_view[row0:stop] = rows[: stop - row0]
@@ -398,22 +376,6 @@ class ShardScheduler:
             for shm in segments:
                 shm.close()
                 shm.unlink()
-
-    @staticmethod
-    def _spmm_task(batch, offsets, r: ShardRange, index, b_desc, out_desc, precision, inject):
-        return {
-            "kind": "spmm",
-            "shard": index,
-            "attempt": 1,
-            "fail_times": (inject or {}).get(index, 0),
-            "values": batch.values[r.lo : r.hi],
-            "columns": batch.columns[r.lo : r.hi],
-            "local_offsets": offsets[r.w0 : r.w1 + 1] - offsets[r.w0],
-            "row0": r.w0 * batch.values.shape[1],
-            "precision": precision.value,
-            "b": b_desc,
-            "out": out_desc,
-        }
 
     # ----------------------------------------------------------------- SDDMM
     def run_sddmm(
@@ -432,15 +394,13 @@ class ShardScheduler:
         Returns the ``(num_nonzero_vectors, vector_size)`` value array in
         the layout of ``fmt.vector_values``.
         """
-        v = fmt.vector_size
         k_dense = a_q.shape[1]
-        batch = fmt.blocks_as_arrays(group)
-        offsets = batch.window_offsets
+        layout = fmt.window_layout(group)
         if target_blocks is None:
-            target_blocks = max(1, -(-batch.num_blocks // self.workers))
-        ranges = window_aligned_ranges(offsets, target_blocks)
+            target_blocks = max(1, -(-layout.num_blocks // self.workers))
+        ranges = window_aligned_ranges(layout.window_offsets, target_blocks)
         out_shape = fmt.vector_values.shape
-        if batch.num_blocks == 0 or k_dense == 0 or not ranges:
+        if k_dense == 0 or not ranges:
             return np.zeros(out_shape, dtype=np.float32)
 
         use_pool = self.workers > 1 and shared_memory is not None
@@ -464,14 +424,7 @@ class ShardScheduler:
                         "shard": i,
                         "attempt": 1,
                         "fail_times": (_inject_failures or {}).get(i, 0),
-                        "values": batch.values[r.lo : r.hi],
-                        "columns": batch.columns[r.lo : r.hi],
-                        "lane_valid": batch.lane_valid[r.lo : r.hi],
-                        "vector_index": batch.vector_index[r.lo : r.hi],
-                        "local_window_of_block": batch.window_of_block[r.lo : r.hi] - r.w0,
-                        "w0": r.w0,
-                        "w1": r.w1,
-                        "v": v,
+                        "view": layout.view(r.w0, r.w1, mask=True),
                         "scale_by_mask": bool(scale_by_mask),
                         "a": a_desc,
                         "b": b_desc,
@@ -480,16 +433,7 @@ class ShardScheduler:
                 )
 
             def inline(task: dict) -> None:
-                idx, vals = sddmm_shard_values(
-                    task["values"],
-                    task["columns"],
-                    task["lane_valid"],
-                    task["vector_index"],
-                    task["local_window_of_block"],
-                    sddmm_a_window(a_q, task["w0"], task["w1"], v),
-                    b_q,
-                    task["scale_by_mask"],
-                )
+                idx, vals = sddmm_shard_values(task["view"], a_q, b_q, task["scale_by_mask"])
                 out_view[idx] = vals
 
             self._dispatch(tasks, inline)
@@ -521,7 +465,7 @@ class ShardScheduler:
         ``a_q`` / ``b_q`` are the SDDMM operands and ``x_q`` the SpMM dense
         operand, all pre-quantised float32.  ``group`` is the SDDMM output
         grouping (``VECTORS_PER_OUTPUT_BLOCK``).  Shards are cut on the
-        SpMM grouping's window offsets and each stage slices its own batch
+        SpMM grouping's window offsets and each stage views its own layout
         at the same window bounds — the two groupings cover identical
         windows, so the shard set is window-aligned for both.
 
@@ -532,15 +476,12 @@ class ShardScheduler:
         v = fmt.vector_size
         n_rows = fmt.shape[0]
         n_dense = x_q.shape[1]
-        pbatch = fmt.blocks_as_arrays()
-        sbatch = fmt.blocks_as_arrays(group)
-        offsets = pbatch.window_offsets
-        soffsets = sbatch.window_offsets
+        layout = fmt.window_layout()
         if target_blocks is None:
-            target_blocks = max(1, -(-pbatch.num_blocks // self.workers))
-        ranges = window_aligned_ranges(offsets, target_blocks)
+            target_blocks = max(1, -(-layout.num_blocks // self.workers))
+        ranges = window_aligned_ranges(layout.window_offsets, target_blocks)
         stage_seconds = {"sddmm_s": 0.0, "edge_softmax_s": 0.0, "spmm_s": 0.0}
-        if pbatch.num_blocks == 0 or n_dense == 0 or not ranges:
+        if n_dense == 0 or not ranges:
             return np.zeros((n_rows, n_dense), dtype=np.float32), stage_seconds
 
         use_pool = self.workers > 1 and shared_memory is not None
@@ -559,41 +500,13 @@ class ShardScheduler:
 
             tasks = []
             for i, r in enumerate(ranges):
-                slo, shi = int(soffsets[r.w0]), int(soffsets[r.w1])
-                local_indptr, entry_vector, entry_lane, vec_lo, vec_count = (
-                    layer_softmax_mapping(
-                        indptr,
-                        fmt.partition.nnz_vector_of_entry,
-                        fmt.partition.window_ptr,
-                        r.w0,
-                        r.w1,
-                        v,
-                        n_rows,
-                    )
-                )
                 tasks.append(
                     {
                         "kind": "layer",
                         "shard": i,
                         "attempt": 1,
                         "fail_times": (_inject_failures or {}).get(i, 0),
-                        "sddmm_values": sbatch.values[slo:shi],
-                        "sddmm_columns": sbatch.columns[slo:shi],
-                        "sddmm_lane_valid": sbatch.lane_valid[slo:shi],
-                        "sddmm_vector_index": sbatch.vector_index[slo:shi],
-                        "sddmm_local_window_of_block": sbatch.window_of_block[slo:shi] - r.w0,
-                        "spmm_columns": pbatch.columns[r.lo : r.hi],
-                        "spmm_local_offsets": offsets[r.w0 : r.w1 + 1] - r.lo,
-                        "spmm_lane_valid": pbatch.lane_valid[r.lo : r.hi],
-                        "spmm_vector_index": pbatch.vector_index[r.lo : r.hi],
-                        "local_indptr": local_indptr,
-                        "entry_vector": entry_vector,
-                        "entry_lane": entry_lane,
-                        "vec_lo": vec_lo,
-                        "vec_count": vec_count,
-                        "w0": r.w0,
-                        "w1": r.w1,
-                        "v": v,
+                        "views": layer_views(fmt, indptr, group, r.w0, r.w1),
                         "row0": r.w0 * v,
                         "precision": precision.value,
                         "scale": None if scale is None else float(scale),
@@ -611,26 +524,7 @@ class ShardScheduler:
 
             def inline(task: dict) -> None:
                 rows, timings = layer_shard_rows(
-                    task["sddmm_values"],
-                    task["sddmm_columns"],
-                    task["sddmm_lane_valid"],
-                    task["sddmm_vector_index"],
-                    task["sddmm_local_window_of_block"],
-                    task["spmm_columns"],
-                    task["spmm_local_offsets"],
-                    task["spmm_lane_valid"],
-                    task["spmm_vector_index"],
-                    task["local_indptr"],
-                    task["entry_vector"],
-                    task["entry_lane"],
-                    task["vec_lo"],
-                    task["vec_count"],
-                    sddmm_a_window(a_q, task["w0"], task["w1"], v),
-                    b_q,
-                    x_q,
-                    precision,
-                    task["scale"],
-                    task["scale_by_mask"],
+                    *task["views"], a_q, b_q, x_q, precision, task["scale"], task["scale_by_mask"]
                 )
                 row0 = task["row0"]
                 stop = min(row0 + rows.shape[0], n_rows)

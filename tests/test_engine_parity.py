@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import random_csr
+from helpers import assert_numerics_contract, random_csr
 
 from repro.formats.blocked import BlockedVectorFormat
 from repro.formats.cache import cached_mebcrs, clear_format_cache, format_cache_size
@@ -96,6 +96,7 @@ def test_spmm_flash_engine_parity(name, precision, n_dense, rng):
     res_b = spmm_flash_execute(csr, b, batched_cfg)
     res_r = spmm_flash_execute(csr, b, reference_cfg)
     np.testing.assert_allclose(res_b.values, res_r.values, atol=1e-4, rtol=1e-4)
+    assert_numerics_contract("spmm", precision, res_b.values, csr, b)
     _assert_counters_identical(res_b.counter, res_r.counter)
     assert res_b.meta["engine"] == "batched"
     assert res_r.meta["engine"] == "reference"
@@ -111,6 +112,7 @@ def test_spmm_tcu16_engine_parity(name, precision, n_dense, rng):
     res_b = spmm_tcu16_execute(csr, b, batched_cfg)
     res_r = spmm_tcu16_execute(csr, b, reference_cfg)
     np.testing.assert_allclose(res_b.values, res_r.values, atol=1e-4, rtol=1e-4)
+    assert_numerics_contract("spmm", precision, res_b.values, csr, b)
     _assert_counters_identical(res_b.counter, res_r.counter)
 
 
@@ -128,6 +130,8 @@ def test_sddmm_flash_engine_parity(name, precision, k_dense, scale_by_mask, rng)
     np.testing.assert_allclose(
         res_b.output.vector_values, res_r.output.vector_values, atol=1e-4, rtol=1e-4
     )
+    if not scale_by_mask:
+        assert_numerics_contract("sddmm", precision, res_b.output, csr, a, b)
     _assert_counters_identical(res_b.counter, res_r.counter)
 
 
@@ -144,6 +148,7 @@ def test_sddmm_tcu16_engine_parity(name, precision, k_dense, rng):
     np.testing.assert_allclose(
         res_b.output.vector_values, res_r.output.vector_values, atol=1e-4, rtol=1e-4
     )
+    assert_numerics_contract("sddmm", precision, res_b.output, csr, a, b)
     _assert_counters_identical(res_b.counter, res_r.counter)
 
 
@@ -232,3 +237,53 @@ def test_sddmm_output_format_matches_reference_structure():
     np.testing.assert_allclose(
         res.output.to_dense(), ref.output.to_dense(), atol=1e-4, rtol=1e-4
     )
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_kernels_never_mutate_caller_operands(precision, dtype, rng):
+    """``quantize`` may hand back the caller's own array (FP32, or an input
+    already in the target dtype), so no kernel path may write to it."""
+    from repro.core.api import sddmm, spmm
+    from repro.kernels.engine import spmm_batched
+    from repro.precision.types import Precision, quantize
+
+    csr = random_csr(61, 45, 0.1, seed=8)
+    a = rng.standard_normal((61, 9)).astype(dtype)
+    b = rng.standard_normal((45, 9)).astype(dtype)
+    x = rng.standard_normal((45, 7)).astype(dtype)
+    before = [m.copy() for m in (a, b, x)]
+    for swap in (True, False):
+        cfg = FlashSparseConfig(precision=precision, swap_and_transpose=swap)
+        run_spmm = spmm_flash_execute if swap else spmm_tcu16_execute
+        run_sddmm = sddmm_flash_execute if swap else sddmm_tcu16_execute
+        run_spmm(csr, x, cfg)
+        run_sddmm(csr, a, b, cfg, scale_by_mask=True)
+    spmm(csr, x, precision=precision, block_chunk=3, workers=2)
+    sddmm(csr, a, b, precision=precision, block_chunk=3, workers=2)
+    x32 = x.astype(np.float32) if dtype is np.float64 else x
+    x32_before = x32.copy()
+    assert quantize(x32, Precision.FP32) is x32  # the aliasing case
+    fmt = MEBCRSMatrix.from_csr(csr, precision=precision)
+    spmm_batched(fmt, quantize(x32, Precision.FP32), Precision.FP32, block_chunk=2)
+    for got, want in zip((a, b, x), before):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(x32, x32_before)
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_fused_layer_meets_numerics_contract(name, precision, rng):
+    from repro.kernels.engine import layer_shard_rows, layer_views
+    from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK
+    from repro.precision.types import Precision, quantize
+
+    csr = MATRICES[name]()
+    fmt = MEBCRSMatrix.from_csr(csr, precision=precision)
+    a = rng.standard_normal((csr.n_rows, 10))
+    b = rng.standard_normal((csr.n_cols, 10))
+    x = rng.standard_normal((csr.n_cols, 17))
+    views = layer_views(fmt, csr.indptr, VECTORS_PER_OUTPUT_BLOCK, 0, fmt.num_windows)
+    operands = (quantize(m, precision) for m in (a, b, x))
+    rows, _ = layer_shard_rows(*views, *operands, Precision(precision), 0.5, False)
+    assert_numerics_contract("layer", precision, rows[: csr.n_rows], csr, a, b, x, scale=0.5)

@@ -13,7 +13,7 @@ from repro.kernels.sddmm_flash import (
 )
 from repro.kernels.sddmm_tcu16 import sddmm_tcu16_cost, sddmm_tcu16_execute
 
-from helpers import random_csr
+from helpers import assert_numerics_contract, random_csr
 
 
 def reference_sddmm(csr, a, b, scale_by_mask=False):
@@ -34,6 +34,7 @@ def test_sddmm_flash_matches_reference(small_csr, rng, precision, k_dense):
     result = sddmm_flash_execute(small_csr, a, b, FlashSparseConfig(precision=precision))
     ref = reference_sddmm(small_csr, a, b)
     np.testing.assert_allclose(result.output.to_dense(), ref, rtol=3e-2, atol=3e-2)
+    assert_numerics_contract("sddmm", precision, result.output, small_csr, a, b)
     assert result.useful_flops == 2 * small_csr.nnz * k_dense
 
 
@@ -164,6 +165,7 @@ def test_sddmm_tcu16_matches_reference(small_csr, rng, precision):
     result = sddmm_tcu16_execute(small_csr, a, b, config)
     ref = reference_sddmm(small_csr, a, b)
     np.testing.assert_allclose(result.output.to_dense(), ref, rtol=3e-2, atol=3e-2)
+    assert_numerics_contract("sddmm", precision, result.output, small_csr, a, b)
 
 
 def test_sddmm_tcu16_cost_matches_execute(medium_csr, rng):

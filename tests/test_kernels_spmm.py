@@ -10,7 +10,7 @@ from repro.kernels.spmm_flash import spmm_flash_cost, spmm_flash_execute
 from repro.kernels.spmm_tcu16 import instruction_for, spmm_tcu16_cost, spmm_tcu16_execute
 from repro.precision.types import Precision
 
-from helpers import random_csr
+from helpers import assert_numerics_contract, random_csr
 
 
 def reference_spmm(csr, b):
@@ -24,6 +24,7 @@ def test_spmm_flash_matches_reference(small_csr, rng, precision, n_dense):
     result = spmm_flash_execute(small_csr, b, FlashSparseConfig(precision=precision))
     ref = reference_spmm(small_csr, b)
     np.testing.assert_allclose(result.values, ref, rtol=2e-2, atol=2e-2)
+    assert_numerics_contract("spmm", precision, result.values, small_csr, b)
     assert result.values.shape == (small_csr.n_rows, n_dense)
     assert result.useful_flops == 2 * small_csr.nnz * n_dense
 
@@ -151,6 +152,7 @@ def test_spmm_tcu16_matches_reference(small_csr, rng, precision, api):
     config = FlashSparseConfig(precision=precision, swap_and_transpose=False)
     result = spmm_tcu16_execute(small_csr, b, config, api=api)
     np.testing.assert_allclose(result.values, reference_spmm(small_csr, b), rtol=2e-2, atol=2e-2)
+    assert_numerics_contract("spmm", precision, result.values, small_csr, b)
 
 
 @pytest.mark.parametrize("precision,api", [("fp16", "mma"), ("tf32", "mma"), ("tf32", "wmma")])
