@@ -18,12 +18,16 @@ connections clear an authenticated HELLO/CHALLENGE handshake (optionally
 under TLS) before any frame flows, and every payload buffer carries a
 CRC32 verified on receipt — corruption surfaces as
 :class:`~repro.cluster.transport.FrameIntegrityError` and is recovered
-through the same retry machinery, never silently computed on.  Routing is
-by matrix content key under rendezvous
-hashing, so every host's own translation cache serves repeat requests
-for "its" matrices — the multi-host analogue of the serving frontend's
-content-keyed translation dedup.  On top of that, the v3 data plane
-pushes matrix and operand bytes **once per (host, content key)**
+through the same retry machinery, never silently computed on.  Head and
+worker speak exactly one protocol version
+(:data:`~repro.cluster.transport.VERSION`): a peer with another version
+gets a structured reject at the handshake, and every op — SpMM, SDDMM,
+the fused layer program, segment matmul — travels as one ``task`` frame
+kind, dispatched on its ``op``.  Routing is by matrix content key under
+rendezvous hashing, so every host's own translation cache serves repeat
+requests for "its" matrices — the multi-host analogue of the serving
+frontend's content-keyed translation dedup.  On top of that, the data
+plane pushes matrix and operand bytes **once per (host, content key)**
 (:mod:`repro.cluster.store`): workers pin pushed bundles in a
 byte-budgeted :class:`~repro.cluster.store.PinnedStore` and repeat task
 frames reference them by key — a ``store_miss`` after eviction or a cold

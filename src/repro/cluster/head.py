@@ -42,15 +42,22 @@ changes underneath:
   exactly like a transport failure: the connection recycles, the shard
   re-sends, and the request completes bit-identically — corruption costs
   a retry, never wrong numerics.
-* **Push/pin data plane (protocol v3).**  Operand bytes ship **once per
-  (host, content key)**, not once per task: each host client keeps a
-  ledger of what its worker has pinned (:mod:`repro.cluster.store`),
-  pushes ledger-missing CSR bundles and dense panels in ``store_put``
-  frames, and sends task frames that reference keys only.  A
-  ``store_miss`` (eviction, cold restart) is handled like a transient
-  transport failure — re-push, bounded, with task-embedded operands as
-  the last resort — and legacy v2 peers keep working with embedded
-  operands after version negotiation.
+* **One protocol.**  Head and worker speak exactly protocol
+  :data:`~repro.cluster.transport.VERSION`; a worker advertising any other
+  version fails the handshake (:class:`VersionMismatchError`, counted in
+  ``handshake_failures``) and is never routed to.
+* **One task frame.**  Every op — SpMM, SDDMM, the fused layer program,
+  segment matmul — ships as ``task`` frames built by one helper
+  (:meth:`ClusterScheduler._run_op`) and dispatched on their ``op``; the
+  in-parent fallback runs the worker's own shard function
+  (:data:`repro.cluster.worker.SHARD_OPS`) on the head's translation.
+* **Push/pin data plane.**  Operand bytes ship **once per (host, content
+  key)**, not once per task: each host client keeps a ledger of what its
+  worker has pinned (:mod:`repro.cluster.store`), pushes ledger-missing
+  CSR bundles and dense panels in ``store_put`` frames, and sends task
+  frames that reference keys only.  A ``store_miss`` (eviction, cold
+  restart) is handled like a transient transport failure — re-push,
+  bounded, with task-embedded operands as the last resort.
 * **Assembly, not shared memory.**  Shard results return as transport
   payloads and are reassembled by :mod:`repro.cluster.assembly` with
   overlap/completeness checks — there is no shared output buffer to
@@ -100,21 +107,13 @@ from repro.cluster.transport import (
     recv_message,
     send_message,
 )
-from repro.cluster.worker import run_worker
+from repro.cluster.worker import SHARD_OPS, run_worker
 from repro.formats.blocked import BlockedVectorFormat
-from repro.formats.cache import cached_mebcrs, cached_sgt16
 from repro.formats.csr import CSRMatrix
 from repro.formats.sgt16 import SGT16Matrix
-from repro.kernels.engine import (
-    layer_shard_rows,
-    layer_views,
-    sddmm_shard_values,
-    spmm_shard_rows,
-    window_aligned_ranges,
-)
-from repro.ops import segment_matmul, segment_softmax
+from repro.kernels.engine import window_aligned_ranges
 from repro.precision.types import Precision
-from repro.serve.program import LayerProgram, attention_csr, gather_edge_values
+from repro.serve.program import LayerProgram
 
 #: Idle gap after which a host client probes its host with a ping.
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.5
@@ -164,18 +163,21 @@ class _Stop:
 class _Task:
     """One shard task travelling through a host client.
 
-    ``store_plan`` is the push/pin decomposition of ``arrays``: a list of
-    ``(store_key, arrays)`` groups whose concatenation equals the embedded
-    payload, with the CSR bundle first by convention.  On a v3 connection
-    the client pushes ledger-missing groups once and sends the task frame
-    with keys only; ``arrays`` stays attached as the embedded fallback
-    (legacy peer, or a store that keeps missing under a tiny budget).
+    ``store_plan`` is the task's payload as ``(store_key, arrays)`` groups,
+    the CSR bundle first for ops over a matrix.  The client pushes
+    ledger-missing groups once and sends the task frame with keys only;
+    their concatenation (:attr:`arrays`) is embedded instead when the
+    store keeps missing under a tiny budget.
     """
 
     header: dict
-    arrays: list
-    store_plan: list = field(default_factory=list)
+    store_plan: list
     future: Future = field(default_factory=Future)
+
+    @property
+    def arrays(self) -> list:
+        """The embedded payload: every plan group's arrays, in order."""
+        return [array for _, group in self.store_plan for array in group]
 
 
 def _describe_task(header: dict) -> str:
@@ -239,9 +241,6 @@ class _HostClient(threading.Thread):
         self._wake = threading.Event()  # interrupts backoff sleeps on stop()
         self._in_flight = False
         self._reconnect_epoch = 0  # keys the jitter stream per SUSPECT episode
-        #: Wire version negotiated on the current connection (v2 until the
-        #: first handshake says otherwise; push/pin needs >= 3).
-        self.wire_version = 2
         #: Store keys the head believes this worker has pinned.  It lives
         #: on the client, so a DEAD host's ledger dies with it (a restarted
         #: worker is never assumed warm) and readmission starts from the
@@ -288,7 +287,7 @@ class _HostClient(threading.Thread):
                 sock = self.ssl_context.wrap_socket(sock)
             if self.fault_plan is not None:
                 sock = self.fault_plan.wrap(sock, scope=self.host_id)
-            sent, received, negotiated = client_handshake(sock, auth_token=self.auth_token)
+            sent, received = client_handshake(sock, auth_token=self.auth_token)
         except BaseException as exc:
             try:
                 sock.close()
@@ -300,7 +299,6 @@ class _HostClient(threading.Thread):
                 )
             raise
         self.metrics.record_transport_bytes(self.host_id, sent=sent, received=received)
-        self.wire_version = negotiated
         return sock
 
     def connect(self) -> None:
@@ -318,7 +316,7 @@ class _HostClient(threading.Thread):
         inventory and gets everything pushed again on first use.
         """
         self._sock.settimeout(self.heartbeat_timeout_s)
-        sent = send_message(self._sock, {"type": "ping"}, version=self.wire_version)
+        sent = send_message(self._sock, {"type": "ping"})
         header, _, received = recv_message(
             self._sock, max_frame_bytes=self.max_frame_bytes
         )
@@ -472,7 +470,7 @@ class _HostClient(threading.Thread):
 
         One ``store_put`` + ``store_ack`` round trip per missing group;
         groups already in the ledger are counted as ``bytes_saved`` — the
-        payload a v2 task frame would have embedded.  The ack's eviction
+        payload an embedded task frame would have carried.  The ack's eviction
         list prunes the ledger immediately, so a tiny store budget costs
         a re-push on next use rather than a guaranteed ``store_miss``.
         Transport failures propagate to the caller's recovery path.
@@ -482,12 +480,7 @@ class _HostClient(threading.Thread):
             if key in self.ledger:
                 self.metrics.record_store_hit(self.host_id, nbytes)
                 continue
-            sent = send_message(
-                self._sock,
-                {"type": "store_put", "store_key": key},
-                arrays,
-                version=self.wire_version,
-            )
+            sent = send_message(self._sock, {"type": "store_put", "store_key": key}, arrays)
             self.metrics.record_store_put(self.host_id, sent)
             header, _, received = recv_message(
                 self._sock, max_frame_bytes=self.max_frame_bytes
@@ -505,32 +498,19 @@ class _HostClient(threading.Thread):
         self._in_flight = True
         recoveries = 0
         miss_retries = 0
-        # Embedded fallback once the wire is v2 or the store keeps missing
-        # (a budget smaller than the working set): costs bytes, never the
-        # request.
-        use_store = bool(task.store_plan)
+        # Embedded fallback once the store keeps missing (a budget smaller
+        # than the working set): costs bytes, never the request.
+        use_store = True
         try:
             while True:
                 try:
                     self._sock.settimeout(self.task_timeout_s)
-                    by_reference = use_store and self.wire_version >= 3
-                    if by_reference:
+                    if use_store:
                         self._push_missing(task.store_plan)
-                        header = dict(task.header)
-                        header["store_csr"] = task.store_plan[0][0]
-                        header["store_operands"] = [
-                            key for key, _ in task.store_plan[1:]
-                        ]
-                        sent = send_message(
-                            self._sock, header, [], version=self.wire_version
-                        )
+                        keys = [key for key, _ in task.store_plan]
+                        sent = send_message(self._sock, dict(task.header, store_keys=keys))
                     else:
-                        sent = send_message(
-                            self._sock,
-                            task.header,
-                            task.arrays,
-                            version=self.wire_version,
-                        )
+                        sent = send_message(self._sock, task.header, task.arrays)
                     self.metrics.record_task_sent(self.host_id, sent)
                     header, arrays, received = recv_message(
                         self._sock, max_frame_bytes=self.max_frame_bytes
@@ -615,7 +595,7 @@ class _HostClient(threading.Thread):
             return
         try:
             self._sock.settimeout(self.heartbeat_timeout_s)
-            sent = send_message(self._sock, {"type": "ping"}, version=self.wire_version)
+            sent = send_message(self._sock, {"type": "ping"})
             self.metrics.record_transport_bytes(self.host_id, sent=sent)
             header, _, received = recv_message(
                 self._sock, max_frame_bytes=self.max_frame_bytes
@@ -647,7 +627,7 @@ class _HostClient(threading.Thread):
     def _shutdown_host(self) -> None:
         try:
             self._sock.settimeout(self.heartbeat_timeout_s)
-            send_message(self._sock, {"type": "shutdown"}, version=self.wire_version)
+            send_message(self._sock, {"type": "shutdown"})
             recv_message(self._sock)  # the worker's "bye"
         except (TransportError, OSError):
             pass
@@ -766,13 +746,8 @@ class ClusterScheduler:
         the same certificate.
     store_bytes:
         Pin-store budget (bytes) for spawned loopback workers — the
-        protocol v3 push/pin cache of matrix and operand bytes (default:
-        the worker's own 256 MiB; external workers take ``--store-bytes``).
-    worker_protocol_version:
-        Cap on the wire version spawned workers advertise.  ``2`` makes
-        every worker a legacy peer: the head negotiates down and embeds
-        operand bytes in every task frame — what the mixed-version tests
-        and the benchmark's v2 baseline use.
+        push/pin cache of matrix and operand bytes (default: the worker's
+        own 256 MiB; external workers take ``--store-bytes``).
     """
 
     def __init__(
@@ -795,7 +770,6 @@ class ClusterScheduler:
         tls_key: str | None = None,
         tls_ca: str | None = None,
         store_bytes: int | None = None,
-        worker_protocol_version: int | None = None,
     ):
         if addresses is None and int(hosts) < 0:
             raise ValueError("hosts must be >= 0")
@@ -849,8 +823,6 @@ class ClusterScheduler:
                     worker_kwargs["tls_ca"] = tls_ca
                 if store_bytes is not None:
                     worker_kwargs["store_bytes"] = int(store_bytes)
-                if worker_protocol_version is not None:
-                    worker_kwargs["protocol_version"] = int(worker_protocol_version)
                 for _ in range(int(hosts)):
                     host_id = self._new_host_id()
                     kwargs = dict(worker_kwargs)
@@ -909,22 +881,15 @@ class ClusterScheduler:
             if not h.removed and h.state is HostHealth.DEAD and not h.client._stopping
         ]
 
-    def affinity_host(self, content_key: str, min_wire: int = 0) -> HostState | None:
+    def affinity_host(self, content_key: str) -> HostState | None:
         """The host that rendezvous routing assigns ``content_key``.
 
         Hosts in a preferred state (HEALTHY / RECOVERING) win; SUSPECT
         hosts are used only when no preferred host exists for the key, so
         routing does not flap on a sub-second blip but also does not pile
-        new work onto a host that is busy re-dialling.  ``min_wire``
-        restricts the pool to hosts whose negotiated connection speaks at
-        least that protocol version — fused ``layer_task`` dispatch (and
-        its failover) must never hand a v4 frame to a v3 peer.
+        new work onto a host that is busy re-dialling.
         """
-        candidates = {
-            h.host_id: h
-            for h in self._hosts_view()
-            if h.accepting and h.client.wire_version >= min_wire
-        }
+        candidates = {h.host_id: h for h in self._hosts_view() if h.accepting}
         if not candidates:
             return None
         preferred = {
@@ -937,17 +902,12 @@ class ClusterScheduler:
             return pool[host_id]
         return None  # pragma: no cover - pool is never empty here
 
-    def _speculation_target(
-        self, content_key: str, exclude: str, min_wire: int = 0
-    ) -> HostState | None:
+    def _speculation_target(self, content_key: str, exclude: str) -> HostState | None:
         """Backup host for a speculative duplicate (never the suspect one)."""
         pool = {
             h.host_id: h
             for h in self._hosts_view()
-            if h.host_id != exclude
-            and h.accepting
-            and h.state in PREFERRED_STATES
-            and h.client.wire_version >= min_wire
+            if h.host_id != exclude and h.accepting and h.state in PREFERRED_STATES
         }
         for host_id in rendezvous_rank(content_key, list(pool)):
             return pool[host_id]
@@ -1102,24 +1062,24 @@ class ClusterScheduler:
         return max(1, -(-num_blocks // shards))
 
     def _dispatch(
-        self, tasks: list[dict], content_key: str, inline_body, min_wire: int = 0
+        self, headers: list[dict], store_plan: list, content_key: str, inline_body
     ) -> list[list]:
-        """Run shard ``tasks``, failing over dead hosts; returns per-task
+        """Run one task per header, failing over dead hosts; returns per-task
         **lists** of ``(header, arrays)`` payloads — normally one, two when
         a speculative duplicate also answered (assembly suppresses the
-        extra copy); inline results are synthesised by ``inline_body``.
+        extra copy); inline results are ``inline_body(header)``.
 
         Routing: all tasks go to the key's first preferred host in
         rendezvous order; every re-dispatch moves the *unfinished* tasks to
         the next live host.  When the rank is exhausted (or the cluster has
         no hosts) the head runs the remainder in-parent.
         """
-        self.metrics.record_request(len(tasks))
+        self.metrics.record_request(len(headers))
         results: dict[int, list] = {}
-        pending = list(range(len(tasks)))
+        pending = list(range(len(headers)))
         first_attempt = True
         while pending:
-            target = self.affinity_host(content_key, min_wire=min_wire)
+            target = self.affinity_host(content_key)
             if target is None:
                 break  # no live host: in-parent fallback below
             if not first_attempt:
@@ -1127,19 +1087,13 @@ class ClusterScheduler:
             first_attempt = False
             submitted: list[tuple[int, _Task]] = []
             for index in pending:
-                task = _Task(
-                    header=tasks[index]["header"],
-                    arrays=tasks[index]["arrays"],
-                    store_plan=tasks[index].get("store_plan", []),
-                )
+                task = _Task(header=headers[index], store_plan=store_plan)
                 if not target.client.submit(task):
                     break  # died mid-submit: the rest re-route next round
                 submitted.append((index, task))
             still_pending = pending[len(submitted) :]
             for index, task in submitted:
-                payloads = self._collect(
-                    target, task, tasks[index], content_key, min_wire=min_wire
-                )
+                payloads = self._collect(target, task, content_key)
                 if payloads:
                     results[index] = payloads
                 else:
@@ -1148,17 +1102,10 @@ class ClusterScheduler:
         if pending:
             self.metrics.record_inline_fallback(len(pending))
             for index in pending:
-                results[index] = [inline_body(tasks[index])]
-        return [results[i] for i in range(len(tasks))]
+                results[index] = [inline_body(headers[index])]
+        return [results[i] for i in range(len(headers))]
 
-    def _collect(
-        self,
-        target: HostState,
-        task: _Task,
-        source: dict,
-        content_key: str,
-        min_wire: int = 0,
-    ) -> list[tuple]:
+    def _collect(self, target: HostState, task: _Task, content_key: str) -> list[tuple]:
         """Await one shard's result, speculating if its host turns SUSPECT.
 
         After ``speculation_delay_s`` with the primary still unresolved on
@@ -1193,18 +1140,12 @@ class ClusterScheduler:
                 )
                 continue
             if target.client.state is HostHealth.SUSPECT:
-                backup = self._speculation_target(
-                    content_key, exclude=target.host_id, min_wire=min_wire
-                )
+                backup = self._speculation_target(content_key, exclude=target.host_id)
                 if backup is not None:
                     # The duplicate carries the same store plan: the backup
                     # host's client pushes whatever *its* ledger is missing
                     # before referencing keys — failover re-push for free.
-                    duplicate = _Task(
-                        header=source["header"],
-                        arrays=source["arrays"],
-                        store_plan=source.get("store_plan", []),
-                    )
+                    duplicate = _Task(header=task.header, store_plan=task.store_plan)
                     if backup.client.submit(duplicate):
                         attempts.append(duplicate)
                         self.metrics.record_speculation(backup.host_id)
@@ -1233,25 +1174,77 @@ class ClusterScheduler:
             raise fatal
         return []
 
-    def _task_header(self, op, fmt, csr, content_key, r, index, extra=None) -> dict:
-        header = {
-            "type": "task",
-            "task_id": index,
-            "op": op,
-            "fmt": "sgt16" if isinstance(fmt, SGT16Matrix) else "mebcrs",
-            "precision": extra.pop("precision"),
-            "shape": list(csr.shape),
-            "content_key": content_key,
-            "lo": r.lo,
-            "hi": r.hi,
-            "w0": r.w0,
-            "w1": r.w1,
-        }
+    def _run_op(
+        self,
+        op: str,
+        operands: list,
+        params: dict,
+        fmt: BlockedVectorFormat | None = None,
+        layout=None,
+        out_shape: tuple = (),
+        target_blocks: int | None = None,
+        csr: CSRMatrix | None = None,
+        content_key: str | None = None,
+    ) -> tuple[np.ndarray, list[dict]]:
+        """Build, dispatch and assemble the ``task`` frames of one op.
+
+        An op over a matrix (``fmt`` given) is cut into window-aligned
+        ranges of ``layout``, one task each, routed by the matrix's content
+        key and assembled into an ``out_shape`` output — dense rows, or
+        SDDMM scatter pairs.  ``segmm`` is a single task routed by
+        ``content_key``.  Every task of the op shares one store plan (the
+        CSR bundle, then one panel per operand), so a host receives each
+        operand once per request — and none for data it already pins.
+        With no live host the tasks run in-parent through the worker's own
+        :data:`~repro.cluster.worker.SHARD_OPS` function.  Returns the
+        output plus the first reply header of every task.
+        """
+        ranges: list = [None]
+        if fmt is not None:
+            if target_blocks is None:
+                target_blocks = self._default_target(layout.num_blocks)
+            ranges = window_aligned_ranges(layout.window_offsets, target_blocks)
+            if 0 in out_shape or not ranges:
+                return np.zeros(out_shape, dtype=np.float32), []
+            csr, content_key = self._resolve_identity(fmt, csr, content_key)
+        store_plan = [(operand_store_key(a), [a]) for a in operands]
+        if csr is not None:
+            store_plan.insert(0, (csr_store_key(content_key), [csr.indptr, csr.indices, csr.data]))
+        base = {"type": "task", "op": op, **params}
+        if fmt is not None:
+            base.update(
+                fmt="sgt16" if isinstance(fmt, SGT16Matrix) else "mebcrs",
+                shape=list(csr.shape),
+                content_key=content_key,
+            )
         if self.inject_task_delay_s:
-            header["delay_s"] = float(self.inject_task_delay_s)
-        if extra:
-            header.update(extra)
-        return header
+            base["delay_s"] = float(self.inject_task_delay_s)
+        headers = [
+            dict(base, task_id=i)
+            if r is None
+            else dict(base, task_id=i, lo=r.lo, hi=r.hi, w0=r.w0, w1=r.w1)
+            for i, r in enumerate(ranges)
+        ]
+        run = SHARD_OPS[op]
+        indptr = None if csr is None else csr.indptr
+        payloads = self._dispatch(
+            headers, store_plan, content_key, lambda h: run(fmt, indptr, h, operands)
+        )
+        replies = [shard[0][0] for shard in payloads]
+        if fmt is None:
+            return payloads[0][0][1][0], replies
+        if op == "sddmm":
+            assembly = SddmmAssembly(out_shape, num_shards=len(ranges))
+        else:
+            assembly = SpmmAssembly(*out_shape, num_shards=len(ranges))
+        for i, shard in enumerate(payloads):
+            for header, arrays in shard:
+                if op == "sddmm":
+                    assembly.add(i, arrays[0], arrays[1])
+                else:
+                    assembly.add(i, header["row0"], arrays[0])
+        self.metrics.record_duplicates_suppressed(assembly.duplicates_suppressed)
+        return assembly.result(), replies
 
     # ------------------------------------------------------------------ SpMM
     def run_spmm(
@@ -1269,51 +1262,18 @@ class ClusterScheduler:
         convention); ``csr`` / ``content_key`` identify the request payload
         for routing (derived from ``fmt`` when omitted).
         """
-        n_rows = fmt.shape[0]
-        n_dense = b_q.shape[1]
-        layout = fmt.window_layout()
-        if target_blocks is None:
-            target_blocks = self._default_target(layout.num_blocks)
-        ranges = window_aligned_ranges(layout.window_offsets, target_blocks)
-        if n_dense == 0 or not ranges:
-            return np.zeros((n_rows, n_dense), dtype=np.float32)
-        csr, content_key = self._resolve_identity(fmt, csr, content_key)
-        b_q = np.ascontiguousarray(b_q, dtype=np.float32)
-
-        # One store plan per request: the CSR bundle keyed by the routing
-        # content key, the dense panel keyed by its own content hash —
-        # every shard of this request references the same keys, so a host
-        # receives the bytes once, not once per shard (and repeat requests
-        # for a pinned matrix ship no matrix bytes at all).
-        store_plan = [
-            (csr_store_key(content_key), [csr.indptr, csr.indices, csr.data]),
-            (operand_store_key(b_q), [b_q]),
-        ]
-        tasks = []
-        for i, r in enumerate(ranges):
-            header = self._task_header(
-                "spmm", fmt, csr, content_key, r, i, {"precision": precision.value}
-            )
-            tasks.append(
-                {
-                    "header": header,
-                    "arrays": [csr.indptr, csr.indices, csr.data, b_q],
-                    "store_plan": store_plan,
-                    "range": r,
-                }
-            )
-
-        def inline(task: dict) -> tuple:
-            r = task["range"]
-            rows = spmm_shard_rows(layout.view(r.w0, r.w1, precision), b_q)
-            return {"row0": r.w0 * fmt.vector_size}, [rows]
-
-        assembly = SpmmAssembly(n_rows, n_dense, num_shards=len(ranges))
-        for i, payloads in enumerate(self._dispatch(tasks, content_key, inline)):
-            for header, arrays in payloads:
-                assembly.add(i, header["row0"], arrays[0])
-        self.metrics.record_duplicates_suppressed(assembly.duplicates_suppressed)
-        return assembly.result()
+        out, _ = self._run_op(
+            "spmm",
+            [np.ascontiguousarray(b_q, dtype=np.float32)],
+            {"precision": precision.value},
+            fmt,
+            fmt.window_layout(),
+            (fmt.shape[0], b_q.shape[1]),
+            target_blocks,
+            csr,
+            content_key,
+        )
+        return out
 
     # ----------------------------------------------------------------- SDDMM
     def run_sddmm(
@@ -1333,62 +1293,27 @@ class ClusterScheduler:
         Returns the ``(num_nonzero_vectors, vector_size)`` value array in
         the layout of ``fmt.vector_values``.
         """
-        k_dense = a_q.shape[1]
-        layout = fmt.window_layout(group)
-        if target_blocks is None:
-            target_blocks = self._default_target(layout.num_blocks)
-        ranges = window_aligned_ranges(layout.window_offsets, target_blocks)
         out_shape = fmt.vector_values.shape
-        if k_dense == 0 or not ranges:
+        if a_q.shape[1] == 0:
             return np.zeros(out_shape, dtype=np.float32)
-        csr, content_key = self._resolve_identity(fmt, csr, content_key)
-        a_q = np.ascontiguousarray(a_q, dtype=np.float32)
-        b_q = np.ascontiguousarray(b_q, dtype=np.float32)
+        out, _ = self._run_op(
+            "sddmm",
+            [np.ascontiguousarray(m, dtype=np.float32) for m in (a_q, b_q)],
+            {
+                "precision": precision.value,
+                "group": int(group),
+                "scale_by_mask": bool(scale_by_mask),
+            },
+            fmt,
+            fmt.window_layout(group),
+            out_shape,
+            target_blocks,
+            csr,
+            content_key,
+        )
+        return out
 
-        store_plan = [
-            (csr_store_key(content_key), [csr.indptr, csr.indices, csr.data]),
-            (operand_store_key(a_q), [a_q]),
-            (operand_store_key(b_q), [b_q]),
-        ]
-        tasks = []
-        for i, r in enumerate(ranges):
-            header = self._task_header(
-                "sddmm",
-                fmt,
-                csr,
-                content_key,
-                r,
-                i,
-                {
-                    "precision": precision.value,
-                    "group": int(group),
-                    "scale_by_mask": bool(scale_by_mask),
-                },
-            )
-            tasks.append(
-                {
-                    "header": header,
-                    "arrays": [csr.indptr, csr.indices, csr.data, a_q, b_q],
-                    "store_plan": store_plan,
-                    "range": r,
-                }
-            )
-
-        def inline(task: dict) -> tuple:
-            r = task["range"]
-            idx, vals = sddmm_shard_values(
-                layout.view(r.w0, r.w1, mask=True), a_q, b_q, bool(scale_by_mask)
-            )
-            return {}, [np.asarray(idx, dtype=np.int64), vals]
-
-        assembly = SddmmAssembly(out_shape, num_shards=len(ranges))
-        for i, payloads in enumerate(self._dispatch(tasks, content_key, inline)):
-            for _, arrays in payloads:
-                assembly.add(i, arrays[0], arrays[1])
-        self.metrics.record_duplicates_suppressed(assembly.duplicates_suppressed)
-        return assembly.result()
-
-    # ------------------------------------------------------------ layer (v4)
+    # ----------------------------------------------------------------- layer
     def run_layer(
         self,
         fmt: BlockedVectorFormat,
@@ -1405,193 +1330,63 @@ class ClusterScheduler:
         content_key: str | None = None,
     ) -> tuple[np.ndarray, dict]:
         """One whole attention layer — SDDMM → scale → softmax → SpMM — in a
-        single cluster round trip per shard (protocol v4).
+        single cluster round trip per shard.
 
-        When the key's affinity host negotiated v4, every shard ships as
-        one ``layer_task`` frame: the CSR bundle and all three dense panels
-        ride the pinned store (so repeat layers over a pinned matrix ship
-        no operand bytes at all), the worker runs the fused engine hook on
-        its cached translation, and only the final dense rows come back —
-        the SDDMM intermediate and the per-evaluation attention matrix
-        never touch the wire.  A v3 affinity host gets the composed
-        fallback instead: the same three-kernel pipeline driven from the
-        head, bit-identical, just three round trips and the intermediate
-        traffic the fused path exists to avoid.
+        Every shard ships as one ``layer`` task: the CSR bundle and all
+        three dense panels ride the pinned store (so repeat layers over a
+        pinned matrix ship no operand bytes at all), the worker runs the
+        fused engine hook on its cached translation, and only the final
+        dense rows come back — the SDDMM intermediate and the
+        per-evaluation attention matrix never touch the wire.
 
         Returns ``(rows, stage_seconds)`` — the dense layer output plus
         the per-stage wall-clock split summed across shards, matching
         :meth:`repro.serve.scheduler.ShardScheduler.run_layer`.
         """
-        v = fmt.vector_size
-        n_rows = fmt.shape[0]
-        n_dense = x_q.shape[1]
-        layout = fmt.window_layout()
-        if target_blocks is None:
-            target_blocks = self._default_target(layout.num_blocks)
-        ranges = window_aligned_ranges(layout.window_offsets, target_blocks)
-        if n_dense == 0 or not ranges:
-            return np.zeros((n_rows, n_dense), dtype=np.float32), {}
-        csr, content_key = self._resolve_identity(fmt, csr, content_key)
-        a_q = np.ascontiguousarray(a_q, dtype=np.float32)
-        b_q = np.ascontiguousarray(b_q, dtype=np.float32)
-        x_q = np.ascontiguousarray(x_q, dtype=np.float32)
-
-        target = self.affinity_host(content_key)
-        if target is not None and target.client.wire_version < 4:
-            return self._run_layer_composed(
-                fmt,
-                csr,
-                content_key,
-                a_q,
-                b_q,
-                x_q,
-                precision,
-                group,
-                scale,
-                scale_by_mask,
-                target_blocks,
-            )
-
         program = LayerProgram.attention_layer(scale=scale, scale_by_mask=scale_by_mask)
-        store_plan = [
-            (csr_store_key(content_key), [csr.indptr, csr.indices, csr.data]),
-            (operand_store_key(a_q), [a_q]),
-            (operand_store_key(b_q), [b_q]),
-            (operand_store_key(x_q), [x_q]),
-        ]
-        tasks = []
-        for i, r in enumerate(ranges):
-            header = self._task_header(
-                "layer",
-                fmt,
-                csr,
-                content_key,
-                r,
-                i,
-                {
-                    "precision": precision.value,
-                    "group": int(group),
-                    "program": program.to_wire(),
-                },
-            )
-            header["type"] = "layer_task"
-            tasks.append(
-                {
-                    "header": header,
-                    "arrays": [csr.indptr, csr.indices, csr.data, a_q, b_q, x_q],
-                    "store_plan": store_plan,
-                    "range": r,
-                }
-            )
-
-        def inline(task: dict) -> tuple:
-            # In-parent last resort when no v4 host survives: the same
-            # fused hook the workers run, on the head's own translation.
-            r = task["range"]
-            rows, timings = layer_shard_rows(
-                *layer_views(fmt, csr.indptr, group, r.w0, r.w1),
-                a_q,
-                b_q,
-                x_q,
-                precision,
-                scale,
-                scale_by_mask,
-            )
-            return {"row0": r.w0 * v, "timings": timings}, [rows]
-
-        assembly = SpmmAssembly(n_rows, n_dense, num_shards=len(ranges))
+        out, replies = self._run_op(
+            "layer",
+            [np.ascontiguousarray(m, dtype=np.float32) for m in (a_q, b_q, x_q)],
+            {"precision": precision.value, "group": int(group), "program": program.to_wire()},
+            fmt,
+            fmt.window_layout(),
+            (fmt.shape[0], x_q.shape[1]),
+            target_blocks,
+            csr,
+            content_key,
+        )
+        if not replies:
+            return out, {}
         stage_seconds: dict[str, float] = {}
-        for i, payloads in enumerate(
-            self._dispatch(tasks, content_key, inline, min_wire=4)
-        ):
-            for j, (header, arrays) in enumerate(payloads):
-                assembly.add(i, header["row0"], arrays[0])
-                if j == 0:  # don't double-count a speculative duplicate
-                    for stage, s in (header.get("timings") or {}).items():
-                        stage_seconds[stage] = stage_seconds.get(stage, 0.0) + float(s)
-        self.metrics.record_duplicates_suppressed(assembly.duplicates_suppressed)
-        # What the composed path would have moved over the wire and the
-        # fused path did not: the SDDMM intermediate pulled back to the
+        for reply in replies:  # first payload only: a speculative copy adds nothing
+            for stage, seconds in (reply.get("timings") or {}).items():
+                stage_seconds[stage] = stage_seconds.get(stage, 0.0) + float(seconds)
+        # What a client-composed layer would have moved over the wire and
+        # the fused task did not: the SDDMM intermediate pulled back to the
         # head (float32 values + int64 vector indices) plus the attention
         # CSR bundle pushed out again for the SpMM — never pinnable, its
         # values change every layer evaluation.
+        # ``indptr`` is the CSR row pointer: int64, with int32 column
+        # indices and float32 values per nonzero.
         n_vec = int(fmt.vector_values.shape[0])
+        nnz = int(indptr[-1])
         intermediate_bytes = (
-            n_vec * v * 4
-            + n_vec * 8
-            + int(csr.indptr.nbytes)
-            + int(csr.indices.nbytes)
-            + int(csr.nnz) * 4
+            n_vec * fmt.vector_size * 4 + n_vec * 8 + int(np.asarray(indptr).nbytes) + nnz * 8
         )
         self.metrics.record_layer_request(
-            fused=True, round_trips_saved=2, operand_bytes_saved=intermediate_bytes
+            round_trips_saved=2, operand_bytes_saved=intermediate_bytes
         )
-        return assembly.result(), stage_seconds
+        return out, stage_seconds
 
-    def _run_layer_composed(
-        self,
-        fmt: BlockedVectorFormat,
-        csr: CSRMatrix,
-        content_key: str,
-        a_q: np.ndarray,
-        b_q: np.ndarray,
-        x_q: np.ndarray,
-        precision: Precision,
-        group: int,
-        scale: float | None,
-        scale_by_mask: bool,
-        target_blocks: int | None,
-    ) -> tuple[np.ndarray, dict]:
-        """Per-kernel fallback for a v3 affinity host: the literal
-        SDDMM → scale → softmax → SpMM composition, bit-identical to the
-        fused path (the parity tests pin this), at per-kernel cost."""
-        t0 = time.perf_counter()
-        sddmm_vals = self.run_sddmm(
-            fmt,
-            a_q,
-            b_q,
-            precision,
-            group,
-            scale_by_mask=scale_by_mask,
-            target_blocks=target_blocks,
-            csr=csr,
-            content_key=content_key,
-        )
-        t1 = time.perf_counter()
-        logits = gather_edge_values(fmt.partition, csr.indptr, sddmm_vals)
-        if scale is not None:
-            logits = logits * np.float32(scale)
-        attention = segment_softmax(logits, csr.indptr)
-        acsr = attention_csr(csr, attention)
-        translate = cached_sgt16 if isinstance(fmt, SGT16Matrix) else cached_mebcrs
-        afmt = translate(acsr, precision, by_content=True)
-        t2 = time.perf_counter()
-        rows = self.run_spmm(
-            afmt,
-            x_q,
-            precision,
-            target_blocks=target_blocks,
-            csr=acsr,
-            content_key=acsr.content_key(),
-        )
-        t3 = time.perf_counter()
-        self.metrics.record_layer_request(fused=False)
-        return rows, {
-            "sddmm_s": t1 - t0,
-            "edge_softmax_s": t2 - t1,
-            "spmm_s": t3 - t2,
-        }
-
-    # ------------------------------------------------------------ segmm (v4)
+    # ---------------------------------------------------------------- segmm
     def run_segment_matmul(
         self, data: np.ndarray, offsets: np.ndarray, weights
     ) -> np.ndarray:
         """Served :func:`repro.ops.segment_matmul` (RGCN-style typed linear).
 
-        One ``segmm_task`` frame to the operand's affinity host when it
-        speaks v4; otherwise (v3 peer, or no live host) the product runs
-        in-parent.  Serving requires uniform-width weights — the wire
-        format is one stacked ``(segments, K, N)`` panel.
+        One ``segmm`` task to the data panel's affinity host; in-parent
+        when no host is live.  Serving requires uniform-width weights — the
+        wire format is one stacked ``(segments, K, N)`` panel.
         """
         data = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
         offsets = np.ascontiguousarray(np.asarray(offsets, dtype=np.int64))
@@ -1599,18 +1394,7 @@ class ClusterScheduler:
             np.stack([np.asarray(w, dtype=np.float32) for w in weights])
         )
         self.metrics.record_segmm_request()
-        routing_key = operand_store_key(data)
-        tasks = [
-            {
-                "header": {"type": "segmm_task", "op": "segmm", "task_id": 0},
-                "arrays": [data, offsets, stack],
-            }
-        ]
-
-        def inline(task: dict) -> tuple:
-            return {}, [
-                np.ascontiguousarray(segment_matmul(data, offsets, list(stack)))
-            ]
-
-        payloads = self._dispatch(tasks, routing_key, inline, min_wire=4)
-        return np.asarray(payloads[0][0][1][0], dtype=np.float32)
+        out, _ = self._run_op(
+            "segmm", [data, offsets, stack], {}, content_key=operand_store_key(data)
+        )
+        return np.asarray(out, dtype=np.float32)

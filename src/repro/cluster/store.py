@@ -3,15 +3,15 @@
 Before this module, every shard task re-shipped the matrix's full CSR
 buffers (indptr/indices/data) plus the dense operands over TCP, even
 though affinity routing sends all shards of a matrix to the same host and
-repeat traffic keeps hitting the same content key.  Protocol v3 replaces
+repeat traffic keeps hitting the same content key.  The store replaces
 that with the "place data once, reference it by name" shape of DGL's
-distributed kvstore, layered over the trusted v2 frame protocol:
+distributed kvstore, layered over the trusted frame protocol:
 
 * The head keeps a **per-host ledger** of which content keys each worker
   has pinned (it lives on the host client, so a DEAD host's ledger dies
   with its client and a restarted worker is never assumed warm).
 * On first use of a matrix the head sends one ``store_put`` frame — the
-  CSR buffers plus their store key, CRC-checked like any v2 payload —
+  CSR buffers plus their store key, CRC-checked like any payload —
   and the worker pins the bytes in its :class:`PinnedStore`.
 * Every subsequent task frame for that matrix carries **only the key**;
   dense operands are likewise content-keyed, so the N shards of one

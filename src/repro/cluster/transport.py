@@ -23,59 +23,48 @@ to the socket.  Array dtype and shape travel in ``header["arrays"]`` so
 the receiver can rebuild each ndarray with ``np.frombuffer`` (backed by a
 ``bytearray``, so the rebuilt arrays are writable).
 
-Protocol version 2 adds the **trusted data plane**:
+Every frame carries protocol :data:`VERSION` in its prefix, and the two
+ends of a connection speak exactly that version — head and worker ship in
+the same package, so there is nothing to negotiate:
 
 * **Payload integrity.**  Every buffer descriptor carries a ``crc32``
   (zlib) over the buffer's raw bytes, computed at send and verified at
   receive.  A flipped bit anywhere in an ndarray payload — NIC, switch,
   proxy, cosmic ray — surfaces as :class:`FrameIntegrityError` instead of
-  flowing silently into SpMM/SDDMM numerics.  Version-2 frames *must*
-  carry checksums; a v2 frame without them is a protocol violation.
+  flowing silently into SpMM/SDDMM numerics.  A descriptor without a
+  checksum, or a frame whose prefix names any other version, is a
+  protocol violation.
 * **Connection handshake.**  Before any task flows, the server sends a
-  CHALLENGE (protocol version + a random nonce), the client answers with
-  a HELLO (its version + an HMAC-SHA256 of the nonce under the shared
+  CHALLENGE (:data:`VERSION` + a random nonce), the client answers with a
+  HELLO (its version + an HMAC-SHA256 of the nonce under the shared
   ``auth_token``), and the server replies WELCOME — or a structured
-  REJECT naming the reason (``version`` / ``auth`` / ``protocol``),
-  written with the *peer's* wire version so even a VERSION=1 peer reads
-  a parseable reject instead of hanging.  See :func:`client_handshake`
-  and :func:`server_handshake`.
+  REJECT naming the reason (``version`` / ``auth`` / ``protocol``).  A
+  peer with another version gets the ``version`` reject, written in the
+  peer's own prefix byte so even a VERSION=1 peer reads a parseable frame
+  instead of hanging; a client whose CHALLENGE advertises another version
+  raises :class:`VersionMismatchError`.  Handshake reads are the only ones
+  that accept an older prefix byte, and only to answer it.  See
+  :func:`client_handshake` and :func:`server_handshake`.
 * **Optional TLS.**  :func:`make_server_ssl_context` /
   :func:`make_client_ssl_context` build ``ssl.SSLContext`` objects for
   wrapping either side of the stream; the frame protocol (and the fault
   injection wrapper) layer on top unchanged.
 
-Protocol version 3 adds the **content-addressed store** (push/pin): the
-handshake negotiates the highest version both ends speak (``min`` of the
-two advertisements, never below :data:`MIN_VERSION`), and a v3 connection
-additionally carries the :mod:`repro.cluster.store` frames — a v3 head
-talking to a v2 worker simply keeps embedding operand bytes in every task
-frame, so mixed-version clusters work unchanged.
-
-Protocol version 4 adds **fused layer serving**: a ``layer_task`` frame
-carries one window-aligned shard of a whole GNN layer program (SDDMM →
-scale → edge softmax → SpMM executed in one worker pass; see
-:mod:`repro.serve.program`) and a ``segmm_task`` frame one served
-:func:`repro.ops.segment_matmul`.  Dense operand panels ride the v3
-pinned store, so a layer's panels ship once per host.  The min-of-maxes
-negotiation makes the fallback transparent: a v4 head talking to a v3
-worker sends three per-kernel task frames per layer instead, with
-bit-identical results.
-
 Message types (the ``type`` header field) used by the cluster:
 
 * ``challenge`` / ``hello`` / ``welcome`` / ``reject``: the connection
   handshake (before anything else on a fresh stream),
-* ``task`` (head → worker): one window-aligned shard of one SpMM/SDDMM —
-  with the CSR + dense operand buffers embedded (v2), or referencing
-  pinned store keys with no payload at all (v3),
-* ``layer_task`` (v4, head → worker): one window-aligned shard of a whole
-  fused layer program; operands embedded or store-referenced like ``task``,
-* ``segmm_task`` (v4, head → worker): one served segment matmul,
-* ``store_put`` / ``store_ack`` (v3): pin a content-keyed buffer bundle
-  on the worker / confirm it,
-* ``store_miss`` (v3, worker → head): a task referenced keys the worker
-  does not hold (evicted, or a restarted process) — the head re-pushes
-  and resends,
+* ``task`` (head → worker): one shard of one op, named by the header's
+  ``op`` — a window range of an SpMM, SDDMM or fused layer program
+  (SDDMM → scale → edge softmax → SpMM in one worker pass; see
+  :mod:`repro.serve.program`), or a whole segment matmul.  Its operands
+  are referenced by pinned store keys, or embedded as buffers when the
+  store keeps missing,
+* ``store_put`` / ``store_ack``: pin a content-keyed buffer bundle on the
+  worker (:mod:`repro.cluster.store`) / confirm it,
+* ``store_miss`` (worker → head): a task referenced keys the worker does
+  not hold (evicted, or a restarted process) — the head re-pushes and
+  resends,
 * ``result`` / ``error`` (worker → head): the shard's output or the remote
   failure (message + traceback text),
 * ``ping`` / ``pong``: heartbeat probes; the pong carries the worker's
@@ -103,17 +92,11 @@ _PREFIX = struct.Struct("!4sBBI")
 _BUF_LEN = struct.Struct("!Q")
 
 MAGIC = b"FSRP"
-#: Highest wire protocol version this end speaks (v2 = checksummed +
-#: handshake; v3 = content-addressed store push/pin frames; v4 = fused
-#: ``layer_task`` / ``segmm_task`` frames).
+#: The wire protocol version; every post-handshake frame carries it.
 VERSION = 4
-#: Lowest version this end will negotiate down to: v2 is the floor —
-#: payload checksums and the authenticated handshake are not optional.
-MIN_VERSION = 2
-#: Prefix versions the parser will read at all.  v1 frames are accepted
-#: only so the handshake can answer a legacy peer with a structured
-#: reject it can parse; every post-handshake frame is v2, v3 or v4.
-SUPPORTED_VERSIONS = frozenset({1, 2, 3, 4})
+#: Prefix versions a handshake read accepts: older peers are read only so
+#: they can be answered with a structured reject they can parse.
+HANDSHAKE_VERSIONS = range(1, VERSION + 1)
 
 #: Sanity bounds — a corrupt or hostile prefix must not trigger a huge
 #: allocation before the magic/shape checks can reject it.
@@ -258,7 +241,7 @@ def send_message(sock: socket.socket, header: dict, arrays=(), version: int = VE
     automatically.  Arrays are made contiguous (a no-op for the batch
     slices the cluster sends) and streamed as raw bytes.  ``version``
     overrides the prefix version byte — only the handshake uses this, to
-    write a reject a legacy peer can parse.
+    write a reject an older peer can parse.
     """
     arrays = [np.ascontiguousarray(a) for a in arrays]
     if len(arrays) > MAX_BUFFERS:
@@ -299,8 +282,8 @@ def recv_message(
     whose expiry surfaces as the standard ``socket.timeout``).  The
     returned arrays are writable (backed by the receive buffer, no extra
     copy) and every buffer's CRC32 has been verified against its header
-    descriptor (:class:`FrameIntegrityError` on mismatch).  The peer's
-    prefix version is reported as ``header["_version"]``.
+    descriptor (:class:`FrameIntegrityError` on mismatch).  A prefix
+    naming any version but :data:`VERSION` is a :class:`TransportError`.
 
     ``max_frame_bytes`` bounds the *declared* total frame size for this
     connection.  The header's descriptor list is walked **before** the
@@ -313,16 +296,29 @@ def recv_message(
     Failures carry a ``bytes_read`` attribute (bytes consumed before the
     frame was rejected) so callers can keep byte accounting truthful.
     """
+    return _recv_checked(sock, max_frame_bytes, (VERSION,))
+
+
+def _recv_handshake(sock) -> tuple[dict, list[np.ndarray], int]:
+    """Receive one handshake frame from a peer of any older version.
+
+    The peer's prefix version is reported as ``header["_version"]``, so a
+    reject can be written in a version the peer parses.
+    """
+    return _recv_checked(sock, HANDSHAKE_MAX_BYTES, HANDSHAKE_VERSIONS)
+
+
+def _recv_checked(sock, max_frame_bytes, versions) -> tuple[dict, list[np.ndarray], int]:
     progress = [0]
     try:
-        return _recv_frame(sock, max_frame_bytes, progress)
+        return _recv_frame(sock, max_frame_bytes, versions, progress)
     except TransportError as exc:
         exc.bytes_read = progress[0]
         raise
 
 
 def _recv_frame(
-    sock: socket.socket, max_frame_bytes: int | None, progress: list[int]
+    sock: socket.socket, max_frame_bytes: int | None, versions, progress: list[int]
 ) -> tuple[dict, list[np.ndarray], int]:
     notify = getattr(sock, "notify_frame_recv", None)
     if notify is not None:
@@ -332,7 +328,7 @@ def _recv_frame(
     magic, version, n_bufs, header_len = _PREFIX.unpack(bytes(prefix))
     if magic != MAGIC:
         raise TransportError(f"bad frame magic {magic!r}")
-    if version not in SUPPORTED_VERSIONS:
+    if version not in versions:
         raise TransportError(f"unsupported protocol version {version}")
     if header_len > MAX_HEADER_BYTES:
         raise TransportError(f"header too large ({header_len} bytes)")
@@ -358,8 +354,8 @@ def _recv_frame(
         )
     # Pre-scan every descriptor before the buffer loop allocates anything:
     # the cumulative declared byte total must clear max_frame_bytes up
-    # front, and v2 descriptors must all carry checksums.
-    plan: list[tuple[np.dtype, tuple, int, int | None]] = []
+    # front, and every descriptor must carry a checksum.
+    plan: list[tuple[np.dtype, tuple, int, int]] = []
     declared = total
     for i, desc in enumerate(descriptors):
         try:
@@ -380,11 +376,8 @@ def _recv_frame(
                 f"max_frame_bytes={max_frame_bytes}"
             )
         crc = desc.get("crc32")
-        if version >= 2:
-            if not isinstance(crc, int):
-                raise TransportError(f"v{version} descriptor {i} carries no checksum")
-        else:
-            crc = None
+        if not isinstance(crc, int):
+            raise TransportError(f"descriptor {i} carries no checksum")
         plan.append((dtype, shape, nbytes, crc))
     arrays: list[np.ndarray] = []
     for i, (dtype, shape, expected, crc) in enumerate(plan):
@@ -397,7 +390,7 @@ def _recv_frame(
             )
         raw = _recv_exact(sock, nbytes)
         progress[0] += nbytes
-        if crc is not None and _crc32(raw) != crc:
+        if _crc32(raw) != crc:
             raise FrameIntegrityError(
                 f"buffer {i} of {header.get('type')!r} frame failed its CRC32 "
                 f"check — payload corrupted in flight"
@@ -427,7 +420,7 @@ def _raise_reject(header: dict) -> None:
 
 def _send_reject(sock, peer_version: int, reason: str, message: str) -> int:
     """Best-effort structured reject, written in the peer's wire version."""
-    wire = peer_version if peer_version in SUPPORTED_VERSIONS else VERSION
+    wire = peer_version if peer_version in HANDSHAKE_VERSIONS else VERSION
     try:
         return send_message(
             sock,
@@ -438,27 +431,21 @@ def _send_reject(sock, peer_version: int, reason: str, message: str) -> int:
         return 0
 
 
-def client_handshake(
-    sock, auth_token: str | None = None, max_version: int = VERSION
-) -> tuple[int, int, int]:
+def client_handshake(sock, auth_token: str | None = None) -> tuple[int, int]:
     """Authenticate a fresh connection from the client (head) side.
 
-    Reads the server's CHALLENGE (which advertises the highest protocol
-    version the server speaks), answers with a HELLO carrying the
-    **negotiated** version — ``min(max_version, server's)`` — and (when
-    ``auth_token`` is set) the HMAC-SHA256 of the challenge nonce, then
-    waits for the WELCOME.  Returns
-    ``(bytes_sent, bytes_received, negotiated_version)``: the byte totals
-    feed transport accounting and the negotiated version tells the caller
-    which frames this connection may carry (store push/pin needs v3; a v2
-    peer gets task-embedded operands).  Raises
-    :class:`AuthenticationError` / :class:`VersionMismatchError` /
+    Reads the server's CHALLENGE, which must advertise :data:`VERSION`
+    (anything else raises :class:`VersionMismatchError`), answers with a
+    HELLO carrying :data:`VERSION` and (when ``auth_token`` is set) the
+    HMAC-SHA256 of the challenge nonce, then waits for the WELCOME.
+    Returns ``(bytes_sent, bytes_received)`` for transport accounting.
+    Raises :class:`AuthenticationError` / :class:`VersionMismatchError` /
     :class:`HandshakeError` when the server rejects us (structured reject
     frames map to the matching exception).
     """
     sent = received = 0
     try:
-        header, _, n = recv_message(sock, max_frame_bytes=HANDSHAKE_MAX_BYTES)
+        header, _, n = _recv_handshake(sock)
     except TransportError as exc:
         raise HandshakeError(f"no challenge from peer: {exc}") from exc
     received += n
@@ -467,24 +454,21 @@ def client_handshake(
         _raise_reject(header)
     if kind != "challenge":
         raise HandshakeError(f"expected a challenge frame, got {kind!r}")
-    version = min(int(header.get("version") or 0), int(max_version))
-    if version < MIN_VERSION:
+    if header.get("version") != VERSION:
         raise VersionMismatchError(
-            f"server speaks protocol version {header.get('version')}, below "
-            f"this end's floor v{MIN_VERSION}"
+            f"server speaks protocol version {header.get('version')}, this end "
+            f"speaks {VERSION}"
         )
     if auth_token is None and header.get("auth_required"):
         raise AuthenticationError(
             "server requires an auth token and none is configured on this end"
         )
-    hello = {"type": "hello", "version": version}
+    hello = {"type": "hello", "version": VERSION}
     if auth_token is not None:
         hello["auth"] = _auth_digest(auth_token, str(header.get("nonce", "")))
-    # The hello (and everything after) is written in the negotiated wire
-    # version, so a v2-only server never sees a prefix byte it can't parse.
-    sent += send_message(sock, hello, version=version)
+    sent += send_message(sock, hello)
     try:
-        header, _, n = recv_message(sock, max_frame_bytes=HANDSHAKE_MAX_BYTES)
+        header, _, n = _recv_handshake(sock)
     except TransportError as exc:
         raise HandshakeError(f"no welcome from peer: {exc}") from exc
     received += n
@@ -492,41 +476,34 @@ def client_handshake(
         _raise_reject(header)
     if header.get("type") != "welcome":
         raise HandshakeError(f"expected a welcome frame, got {header.get('type')!r}")
-    return sent, received, version
+    return sent, received
 
 
-def server_handshake(
-    sock, auth_token: str | None = None, max_version: int = VERSION
-) -> tuple[int, int, int]:
+def server_handshake(sock, auth_token: str | None = None) -> tuple[int, int]:
     """Authenticate a fresh connection from the server (worker) side.
 
-    Sends the CHALLENGE (the highest protocol version this end speaks + a
-    random nonce), validates the peer's HELLO — frame shape, a negotiated
-    protocol version within ``[MIN_VERSION, max_version]``, and (when
-    ``auth_token`` is set) a constant-time comparison of the HMAC digest —
-    and answers WELCOME in the negotiated wire version.  A failing peer
-    gets a structured REJECT written in *its* prefix version (so a
-    VERSION=1 peer reads a parseable frame, not a hang) before the
-    matching exception is raised to the caller, which should drop the
-    connection and keep accepting.  Returns
-    ``(bytes_sent, bytes_received, negotiated_version)``.
+    Sends the CHALLENGE (:data:`VERSION` + a random nonce), validates the
+    peer's HELLO — frame shape, protocol version :data:`VERSION`, and
+    (when ``auth_token`` is set) a constant-time comparison of the HMAC
+    digest — and answers WELCOME.  A failing peer gets a structured REJECT
+    written in *its* prefix version (so a VERSION=1 peer reads a parseable
+    frame, not a hang) before the matching exception is raised to the
+    caller, which should drop the connection and keep accepting.  Returns
+    ``(bytes_sent, bytes_received)``.
     """
     nonce = secrets.token_hex(16)
-    # The challenge is written at the v2 floor so a legacy v2-only peer can
-    # parse it and negotiate down; the body advertises the real maximum.
     sent = send_message(
         sock,
         {
             "type": "challenge",
-            "version": int(max_version),
+            "version": VERSION,
             "nonce": nonce,
             "auth_required": auth_token is not None,
         },
-        version=MIN_VERSION,
     )
     received = 0
     try:
-        header, _, n = recv_message(sock, max_frame_bytes=HANDSHAKE_MAX_BYTES)
+        header, _, n = _recv_handshake(sock)
     except TransportError as exc:
         received += getattr(exc, "bytes_read", 0)
         raise HandshakeError(f"no parseable hello from peer: {exc}") from exc
@@ -540,19 +517,13 @@ def server_handshake(
             f"expected a hello frame, got {header.get('type')!r}",
         )
         raise HandshakeError(f"peer opened with {header.get('type')!r}, not hello")
-    hello_version = int(header.get("version") or peer_version or 0)
-    if hello_version < MIN_VERSION or hello_version > int(max_version):
-        sent += _send_reject(
-            sock,
-            peer_version,
-            "version",
-            f"peer negotiated protocol version {hello_version}, this end "
-            f"speaks {MIN_VERSION}..{int(max_version)}",
+    if header.get("version") != VERSION or peer_version != VERSION:
+        message = (
+            f"peer hello names protocol version {header.get('version')} "
+            f"(prefix v{peer_version}), this end speaks {VERSION}"
         )
-        raise VersionMismatchError(
-            f"peer negotiated protocol version {hello_version}, this end "
-            f"speaks {MIN_VERSION}..{int(max_version)}"
-        )
+        sent += _send_reject(sock, peer_version, "version", message)
+        raise VersionMismatchError(message)
     if auth_token is not None:
         digest = header.get("auth")
         if not isinstance(digest, str) or not hmac.compare_digest(
@@ -562,10 +533,8 @@ def server_handshake(
                 sock, peer_version, "auth", "missing or invalid auth digest"
             )
             raise AuthenticationError("peer presented a missing or invalid auth digest")
-    sent += send_message(
-        sock, {"type": "welcome", "version": hello_version}, version=hello_version
-    )
-    return sent, received, hello_version
+    sent += send_message(sock, {"type": "welcome", "version": VERSION})
+    return sent, received
 
 
 # ----------------------------------------------------------------------- TLS

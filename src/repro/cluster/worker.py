@@ -11,21 +11,23 @@ of :mod:`repro.cluster.transport`.  Per task it
    the first task for a matrix the O(nnz) translation is a cache hit (the
    cache counters travel back in every result and pong frame, making the
    affinity payoff observable from the head),
-3. views the task's window range in the format's cached window layout
-   (translation is deterministic, so the worker's layout is bit-identical
-   to the head's) and runs the engine shard hooks
-   :func:`~repro.kernels.engine.spmm_shard_rows` /
-   :func:`~repro.kernels.engine.sddmm_shard_values` /
-   :func:`~repro.kernels.engine.layer_shard_rows` — the same whole-window
-   contractions the single-host scheduler runs, hence bit-identical
-   results, and
-4. streams the shard output back (dense row slice for SpMM,
-   ``(vector_index, values)`` scatter pairs for SDDMM).
+3. runs the task's ``op`` through :data:`SHARD_OPS` — one function per op
+   (``spmm`` / ``sddmm`` / ``layer`` / ``segmm``) of the format, the task
+   header (window range and scalar parameters) and the dense operands.
+   The head's in-parent fallback calls the very same functions on its own
+   (bit-identical) translation, so inline == worker by construction; the
+   window ops view their range in the format's cached window layout and
+   run the engine's whole-window shard hooks, like the single-host
+   scheduler, and
+4. streams the shard output back (dense row slice for SpMM and the fused
+   layer, ``(vector_index, values)`` scatter pairs for SDDMM).
 
 **Trust at the door.**  Every accepted connection must clear the
-HELLO/CHALLENGE handshake (protocol version negotiation plus, when an
-``auth_token`` is configured, an HMAC-SHA256 proof over the worker's
-nonce) before a single task frame is read; a peer that fails is sent a
+HELLO/CHALLENGE handshake (the peer must speak protocol
+:data:`~repro.cluster.transport.VERSION`, and, when an ``auth_token`` is
+configured, present an HMAC-SHA256 proof over the worker's nonce) before
+a single task frame is read; a peer that fails — another protocol
+version included — is sent a
 structured reject, counted (``auth_rejects`` / ``handshake_failures`` in
 the status frames) and dropped — the listener keeps serving the next
 connection.  With ``tls_cert``/``tls_key`` the stream itself is wrapped
@@ -60,7 +62,6 @@ import numpy as np
 
 from repro.cluster.store import DEFAULT_STORE_BYTES, PinnedStore, StoreMissError
 from repro.cluster.transport import (
-    VERSION,
     AuthenticationError,
     FrameIntegrityError,
     FrameTooLargeError,
@@ -99,6 +100,64 @@ AUTH_TOKEN_ENV = "REPRO_CLUSTER_AUTH_TOKEN"
 DEFAULT_HANDSHAKE_TIMEOUT_S = 10.0
 
 
+# ------------------------------------------------------------- shard ops
+# One function per task ``op``: ``(fmt, indptr, header, operands)`` →
+# ``(reply fields, payload arrays)``.  ``fmt`` is the matrix's translation
+# and ``indptr`` its CSR row pointer (both None for ``segmm``, which has no
+# matrix); the header carries the window range ``[w0, w1)`` and the op's
+# scalar parameters.  The worker runs them on its cached translation and the
+# head's in-parent fallback on its own — the same code either way.
+def _spmm_shard(fmt, indptr, header: dict, operands: list) -> tuple[dict, list]:
+    (b_q,) = operands
+    w0, w1 = int(header["w0"]), int(header["w1"])
+    view = fmt.window_layout().view(w0, w1, Precision(header["precision"]))
+    return {"row0": w0 * fmt.vector_size}, [spmm_shard_rows(view, b_q)]
+
+
+def _sddmm_shard(fmt, indptr, header: dict, operands: list) -> tuple[dict, list]:
+    a_q, b_q = operands
+    view = fmt.window_layout(int(header["group"])).view(
+        int(header["w0"]), int(header["w1"]), mask=True
+    )
+    idx, vals = sddmm_shard_values(view, a_q, b_q, bool(header["scale_by_mask"]))
+    return {}, [np.asarray(idx, dtype=np.int64), vals]
+
+
+def _layer_shard(fmt, indptr, header: dict, operands: list) -> tuple[dict, list]:
+    # One window range of a whole fused layer program: SDDMM → scale →
+    # edge softmax → SpMM in one pass over the shared translation.  The
+    # softmax's CSR↔vector mapping derives locally from the partition and
+    # the CSR indptr; only the window range travels in the header.
+    a_q, b_q, x_q = operands
+    w0, w1 = int(header["w0"]), int(header["w1"])
+    scale, scale_by_mask = LayerProgram.from_wire(header["program"]).canonical()
+    rows, timings = layer_shard_rows(
+        *layer_views(fmt, np.asarray(indptr), int(header["group"]), w0, w1),
+        a_q,
+        b_q,
+        x_q,
+        Precision(header["precision"]),
+        scale,
+        scale_by_mask,
+    )
+    return {"row0": w0 * fmt.vector_size, "timings": timings}, [rows]
+
+
+def _segmm_shard(fmt, indptr, header: dict, operands: list) -> tuple[dict, list]:
+    data, offsets, weights = operands
+    out = segment_matmul(data, np.asarray(offsets, dtype=np.int64), list(weights))
+    return {}, [np.ascontiguousarray(out)]
+
+
+#: Task body by the header's ``op`` field.
+SHARD_OPS = {
+    "spmm": _spmm_shard,
+    "sddmm": _sddmm_shard,
+    "layer": _layer_shard,
+    "segmm": _segmm_shard,
+}
+
+
 class WorkerHost:
     """State of one worker host: its translation cache and task counters."""
 
@@ -108,11 +167,10 @@ class WorkerHost:
         max_frame_bytes: int | None = None,
         auth_token: str | None = None,
         store_bytes: int = DEFAULT_STORE_BYTES,
-        protocol_version: int | None = None,
     ):
         self.cache = TranslationCache(maxsize=cache_maxsize)
-        #: Content-addressed pin store (protocol v3): CSR bundles and dense
-        #: operand panels the head pushed once, referenced by key per task.
+        #: Content-addressed pin store: CSR bundles and dense operand
+        #: panels the head pushed once, referenced by key per task.
         self.store = PinnedStore(budget_bytes=store_bytes)
         self.tasks_done = 0
         #: Per-connection bound on declared frame sizes (None = unbounded):
@@ -121,10 +179,6 @@ class WorkerHost:
         self.max_frame_bytes = max_frame_bytes
         #: Shared secret gating the connection handshake (None = open).
         self.auth_token = auth_token
-        #: Highest wire version this host advertises (None = the library's
-        #: VERSION).  Pinning it at 2 simulates a legacy host: the head
-        #: negotiates down and embeds operand bytes in every task frame.
-        self.protocol_version = VERSION if protocol_version is None else int(protocol_version)
         self.frames_oversized = 0
         #: Inbound frames whose payload CRC32 failed verification.
         self.integrity_failures = 0
@@ -133,9 +187,6 @@ class WorkerHost:
         #: Handshakes dropped for any non-auth reason (version mismatch,
         #: protocol garbage, TLS failure) — disjoint from auth_rejects.
         self.handshake_failures = 0
-        #: Wire version negotiated on the connection being served (the host
-        #: serves one head connection at a time).
-        self.wire_version = self.protocol_version
 
     # --------------------------------------------------------------- helpers
     def _status(self) -> dict:
@@ -160,28 +211,27 @@ class WorkerHost:
             # bytes: the cache's content lookup then skips the per-task
             # O(nnz) rehash.
             csr.with_content_key(header["content_key"])
-        translate = _TRANSLATORS.get(header.get("fmt", "mebcrs"))
+        translate = _TRANSLATORS.get(header["fmt"])
         if translate is None:
-            raise ValueError(f"unknown format kind {header.get('fmt')!r}")
+            raise ValueError(f"unknown format kind {header['fmt']!r}")
         precision = Precision(header["precision"])
-        fmt = translate(csr, precision, by_content=True, cache=self.cache)
-        return fmt, precision
+        return translate(csr, precision, by_content=True, cache=self.cache)
 
     def _resolve_payload(self, header: dict, arrays: list) -> tuple[list, tuple]:
         """The task's operand arrays, from the frame or the pin store.
 
-        A v3 task frame carries no payload: ``store_csr`` names the pinned
-        CSR bundle and ``store_operands`` the pinned dense panels, in the
-        exact positional order the embedded layout uses — so the kernels
-        downstream cannot tell the difference.  Returns the payload plus
-        the acquired store keys (refcounted: eviction cannot pull a buffer
-        out from under this task; the caller releases them when done).
-        Raises :class:`StoreMissError` naming every absent key when the
-        store no longer holds the referenced bytes.
+        A task frame that names ``store_keys`` carries no payload: the keys
+        name the pinned bundles whose concatenation is exactly the embedded
+        layout (the CSR bundle first, for ops over a matrix) — so the
+        kernels downstream cannot tell the difference.  Returns the payload
+        plus the acquired store keys (refcounted: eviction cannot pull a
+        buffer out from under this task; the caller releases them when
+        done).  Raises :class:`StoreMissError` naming every absent key when
+        the store no longer holds the referenced bytes.
         """
-        if not header.get("store_csr"):
+        keys = tuple(header.get("store_keys") or ())
+        if not keys:
             return list(arrays), ()
-        keys = (header["store_csr"], *header.get("store_operands", ()))
         bundles = self.store.acquire(*keys)
         return [array for bundle in bundles for array in bundle], keys
 
@@ -198,51 +248,16 @@ class WorkerHost:
         delay = float(header.get("delay_s") or 0.0)
         if delay > 0.0:  # failure-injection hook for the kill-mid-shard tests
             time.sleep(delay)
-        op = header["op"]
-        w0, w1 = int(header.get("w0", 0)), int(header.get("w1", 0))
-        if op == "spmm":
-            indptr, indices, data, b_q = arrays
-            fmt, precision = self._translate(header, indptr, indices, data)
-            rows = spmm_shard_rows(fmt.window_layout().view(w0, w1, precision), b_q)
-            reply = {"type": "result", "row0": w0 * fmt.vector_size}
-            payload = [rows]
-        elif op == "sddmm":
-            indptr, indices, data, a_q, b_q = arrays
-            fmt, precision = self._translate(header, indptr, indices, data)
-            idx, vals = sddmm_shard_values(
-                fmt.window_layout(int(header["group"])).view(w0, w1, mask=True),
-                a_q,
-                b_q,
-                bool(header.get("scale_by_mask", False)),
-            )
-            reply = {"type": "result"}
-            payload = [np.asarray(idx, dtype=np.int64), vals]
-        elif op == "layer":
-            # One window-aligned shard of a whole fused layer program
-            # (protocol v4): SDDMM → scale → edge softmax → SpMM in one
-            # pass, reusing the shared translation.  Everything the softmax
-            # stage needs — the CSR↔vector mapping — derives locally from
-            # the partition and the CSR indptr; only the window range
-            # travels in the header.
-            indptr, indices, data, a_q, b_q, x_q = arrays
-            fmt, precision = self._translate(header, indptr, indices, data)
-            scale, scale_by_mask = LayerProgram.from_wire(header["program"]).canonical()
-            views = layer_views(fmt, np.asarray(indptr), int(header["group"]), w0, w1)
-            rows, timings = layer_shard_rows(
-                *views, a_q, b_q, x_q, precision, scale, scale_by_mask
-            )
-            reply = {"type": "result", "row0": w0 * fmt.vector_size, "timings": timings}
-            payload = [rows]
-        elif op == "segmm":
-            data, offsets, weights = arrays
-            out = segment_matmul(data, np.asarray(offsets, dtype=np.int64), list(weights))
-            reply = {"type": "result"}
-            payload = [np.ascontiguousarray(out)]
-        else:
-            raise ValueError(f"unknown op {op!r}")
+        run = SHARD_OPS.get(header["op"])
+        if run is None:
+            raise ValueError(f"unknown op {header['op']!r}")
+        fmt = indptr = None
+        if "fmt" in header:  # an op over a matrix: its CSR bundle leads
+            indptr, indices, data, *arrays = arrays
+            fmt = self._translate(header, indptr, indices, data)
+        reply, payload = run(fmt, indptr, header, arrays)
         self.tasks_done += 1
-        reply["task_id"] = header.get("task_id")
-        reply.update(self._status())
+        reply.update(type="result", task_id=header.get("task_id"), **self._status())
         return reply, payload
 
     # ------------------------------------------------------------ connection
@@ -252,12 +267,10 @@ class WorkerHost:
         A failed peer was already answered with a structured reject frame
         (where the stream allowed one) and counted — ``auth_rejects`` for
         a bad or missing digest, ``handshake_failures`` for everything
-        else (version mismatch, protocol garbage, stream loss).
+        else (another protocol version, protocol garbage, stream loss).
         """
         try:
-            *_, self.wire_version = server_handshake(
-                conn, auth_token=self.auth_token, max_version=self.protocol_version
-            )
+            server_handshake(conn, auth_token=self.auth_token)
             return True
         except AuthenticationError:
             self.auth_rejects += 1
@@ -294,7 +307,6 @@ class WorkerHost:
             except (TransportError, OSError):
                 return False  # head went away: back to accept
             kind = header.get("type")
-            wire = self.wire_version
             try:
                 if kind == "ping":
                     # The pong carries the pin store's key inventory on top
@@ -308,11 +320,10 @@ class WorkerHost:
                             "store_keys": self.store.keys(),
                             **self._status(),
                         },
-                        version=wire,
                     )
                 elif kind == "shutdown":
                     try:
-                        send_message(conn, {"type": "bye", **self._status()}, version=wire)
+                        send_message(conn, {"type": "bye", **self._status()})
                     except (TransportError, OSError):
                         pass
                     return True
@@ -330,9 +341,8 @@ class WorkerHost:
                             "evicted": evicted,
                             **self._status(),
                         },
-                        version=wire,
                     )
-                elif kind in ("task", "layer_task", "segmm_task"):
+                elif kind == "task":
                     try:
                         reply, payload = self.run_task(header, arrays)
                     except StoreMissError as exc:
@@ -347,7 +357,6 @@ class WorkerHost:
                                 "missing": exc.missing,
                                 **self._status(),
                             },
-                            version=wire,
                         )
                     except Exception as exc:  # computation error: report, stay up
                         send_message(
@@ -359,15 +368,13 @@ class WorkerHost:
                                 "traceback": traceback.format_exc(),
                                 **self._status(),
                             },
-                            version=wire,
                         )
                     else:
-                        send_message(conn, reply, payload, version=wire)
+                        send_message(conn, reply, payload)
                 else:
                     send_message(
                         conn,
                         {"type": "error", "message": f"unknown message type {kind!r}"},
-                        version=wire,
                     )
             except (TransportError, OSError):
                 return False  # reply undeliverable: back to accept
@@ -386,7 +393,6 @@ def run_worker(
     tls_ca: str | None = None,
     handshake_timeout_s: float = DEFAULT_HANDSHAKE_TIMEOUT_S,
     store_bytes: int = DEFAULT_STORE_BYTES,
-    protocol_version: int | None = None,
 ) -> None:
     """Bind, announce the bound address, and serve until told to shut down.
 
@@ -405,17 +411,14 @@ def run_worker(
     ``handshake_timeout_s`` — a peer that stalls there is dropped without
     blocking the accept loop for anyone else.
 
-    ``store_bytes`` budgets the pin store (protocol v3 push/pin);
-    ``protocol_version`` caps the wire version this host advertises —
-    pinning it at 2 makes the host behave as a legacy peer, which the
-    mixed-version tests use.
+    ``store_bytes`` budgets the pin store of pushed matrix and operand
+    bytes.
     """
     state = WorkerHost(
         cache_maxsize=cache_maxsize,
         max_frame_bytes=max_frame_bytes,
         auth_token=auth_token,
         store_bytes=store_bytes,
-        protocol_version=protocol_version,
     )
     ssl_context = (
         make_server_ssl_context(tls_cert, tls_key, cafile=tls_ca)
@@ -460,7 +463,11 @@ def run_worker(
 
 
 def main(argv=None) -> None:  # pragma: no cover - thin CLI wrapper
-    """``python -m repro.cluster.worker``: run one standalone worker host."""
+    """``python -m repro.cluster.worker``: run one standalone worker host.
+
+    The host speaks protocol :data:`~repro.cluster.transport.VERSION` only;
+    a head with another version gets a structured reject.
+    """
     import argparse
 
     parser = argparse.ArgumentParser(description="FlashSparse cluster worker host")
@@ -482,13 +489,7 @@ def main(argv=None) -> None:  # pragma: no cover - thin CLI wrapper
         "--store-bytes",
         type=int,
         default=DEFAULT_STORE_BYTES,
-        help="pin-store budget for pushed matrix bytes (protocol v3 push/pin)",
-    )
-    parser.add_argument(
-        "--protocol-version",
-        type=int,
-        default=None,
-        help="cap the advertised wire version (e.g. 2 to act as a legacy host)",
+        help="pin-store budget for pushed matrix and operand bytes",
     )
     parser.add_argument(
         "--auth-token",
@@ -521,7 +522,6 @@ def main(argv=None) -> None:  # pragma: no cover - thin CLI wrapper
         tls_key=args.tls_key,
         tls_ca=args.tls_ca,
         store_bytes=args.store_bytes,
-        protocol_version=args.protocol_version,
     )
 
 

@@ -254,7 +254,7 @@ class SparseBackend:
 
 
 #: Execution modes of :class:`ServedBackend`: ``"fused"`` sends one
-#: ``submit_layer`` request per attention layer (protocol v4), ``"composed"``
+#: ``submit_layer`` request per attention layer, ``"composed"``
 #: the classic three requests (SDDMM → edge softmax → SpMM).
 SERVED_MODES: tuple[str, ...] = ("fused", "composed")
 

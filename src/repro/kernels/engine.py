@@ -489,7 +489,7 @@ def sddmm_shard_values(
 # :class:`~repro.formats.windows.WindowPartition` (computed locally by
 # :func:`layer_softmax_mapping` from the partition + CSR indptr) and one
 # gather through the SpMM layout's cached lane→vector map; nothing extra has
-# to travel on the wire for the cluster's ``layer_task`` frames.
+# to travel on the wire for the cluster's ``layer`` task frames.
 #
 # The composed serving path additionally *translates* the attention CSR
 # before the SpMM, which stores the values as ``dtype_for(precision)``.

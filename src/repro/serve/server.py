@@ -479,7 +479,7 @@ class Server:
         request; returns a Future of :class:`LayerResult`.
 
         The layer executes as one fused pass per shard (one scheduler
-        round trip — and on the v4 cluster backend one wire round trip —
+        round trip — and on the cluster backend one wire round trip —
         instead of three), bit-identical to submitting the three kernels
         separately.  ``timeout`` / ``priority`` as for :meth:`submit_spmm`.
         Layer requests over the same matrix, logits panels and scale
@@ -569,7 +569,7 @@ class Server:
         :class:`SegmentMatmulResult`.
 
         ``weights`` must be uniform-width — one ``(segments, K, N)`` stack
-        is the wire format (the v4 ``segmm_task`` frame).
+        is the wire format (the cluster's ``segmm`` task frame).
         """
         data = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
         if data.ndim != 2:

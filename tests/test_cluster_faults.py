@@ -194,8 +194,8 @@ def worker():
 
 
 def _connect(address) -> socket.socket:
-    """Dial the worker and clear its connection handshake (v2 transport:
-    nothing else flows on a fresh stream until the handshake passes)."""
+    """Dial the worker and clear its connection handshake (nothing else
+    flows on a fresh stream until the handshake passes)."""
     conn = socket.create_connection(address, timeout=TIMEOUT)
     conn.settimeout(TIMEOUT)
     client_handshake(conn)

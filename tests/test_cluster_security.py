@@ -1,11 +1,14 @@
 """Trusted data plane: handshake auth, TLS, payload integrity, recovery.
 
-Protocol v2's security contract, end to end:
+The transport's security contract, end to end:
 
 * the HELLO/CHALLENGE handshake admits the right token and rejects the
   wrong one — and a rejected peer never wedges the worker's accept loop;
-* a VERSION=1 peer receives a *structured* reject frame it can parse, not
-  a hang;
+* a peer naming any other protocol version receives a *structured* reject
+  frame it can parse, not a hang; a head refuses a worker whose challenge
+  advertises another version, and keeps serving on its other hosts;
+* every post-handshake frame must carry the protocol version in its
+  prefix, so no prefix byte can switch off the payload checksums;
 * TLS-wrapped clusters produce bit-identical results to plaintext ones;
 * a corrupted frame — payload bit-flip or a lying checksum — surfaces as
   :class:`FrameIntegrityError`, is counted, and the request still
@@ -27,6 +30,7 @@ from helpers import random_csr
 
 from repro.cluster import ClusterScheduler
 from repro.cluster.transport import (
+    _BUF_LEN,
     _PREFIX,
     MAGIC,
     VERSION,
@@ -37,6 +41,7 @@ from repro.cluster.transport import (
     RetryPolicy,
     TransportError,
     VersionMismatchError,
+    _recv_handshake,
     client_handshake,
     make_client_ssl_context,
     recv_message,
@@ -83,8 +88,8 @@ def _pair():
 
 def _handshake_pair(client_token, server_token):
     """Run both handshake sides over a socketpair; returns (client, server)
-    outcomes — a (sent, received, negotiated_version) tuple on success, the
-    exception on failure."""
+    outcomes — a (sent, received) tuple on success, the exception on
+    failure."""
     a, b = _pair()
     out = {}
 
@@ -113,14 +118,12 @@ def _handshake_pair(client_token, server_token):
 # ---------------------------------------------------------------- handshake
 def test_handshake_happy_path_counts_bytes():
     client, server = _handshake_pair(TOKEN, TOKEN)
-    c_sent, c_received, c_version = client
-    s_sent, s_received, s_version = server
+    c_sent, c_received = client
+    s_sent, s_received = server
     assert c_sent > 0 and c_received > 0
     # Byte totals mirror each other exactly: what one side sent, the
     # other received — the reconciliation the accounting satellite needs.
     assert (c_sent, c_received) == (s_received, s_sent)
-    # Both ends agree on the negotiated wire version (here: both current).
-    assert c_version == s_version == VERSION
 
 
 def test_handshake_open_mode_without_token():
@@ -142,9 +145,13 @@ def test_missing_token_fails_before_sending_credentials():
     assert isinstance(server, HandshakeError)
 
 
-def test_version_mismatch_peer_gets_structured_reject_not_a_hang():
-    """A peer speaking protocol VERSION=1 must read a parseable reject
-    frame, written in *its* wire version — not block forever."""
+@pytest.mark.parametrize("hello_version", [1, 2, 3, 5])
+def test_version_mismatch_peer_gets_structured_reject_not_a_hang(hello_version):
+    """A peer naming any other protocol version must read a parseable
+    reject frame, written in *its* wire version — not block forever.  An
+    older peer frames its hello in its own version; a newer one in ours,
+    the highest prefix this end reads."""
+    prefix = min(hello_version, VERSION)
     a, b = _pair()
     errs = {}
 
@@ -158,15 +165,51 @@ def test_version_mismatch_peer_gets_structured_reject_not_a_hang():
     thread.start()
     challenge, _, _ = recv_message(a)
     assert challenge["type"] == "challenge" and challenge["version"] == VERSION
-    # Answer like a v1 peer: v1 prefix byte, v1 in the hello body.
-    send_message(a, {"type": "hello", "version": 1}, version=1)
-    reject, _, _ = recv_message(a)  # parseable, versioned, structured
+    send_message(a, {"type": "hello", "version": hello_version}, version=prefix)
+    reject, _, _ = _recv_handshake(a)  # parseable, versioned, structured
     thread.join(TIMEOUT)
     assert reject["type"] == "reject"
     assert reject["reason"] == "version"
-    assert reject["_version"] == 1  # written in the peer's wire version
+    assert reject["_version"] == prefix  # written in the peer's wire version
     assert isinstance(errs["server"], VersionMismatchError)
     a.close(), b.close()
+
+
+def test_head_refuses_worker_advertising_another_version():
+    """A listener whose CHALLENGE advertises version 3 cannot join: the
+    head raises instead of negotiating down, counts the handshake failure,
+    and keeps serving bit-identically on its real host."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(TIMEOUT)
+
+    def fake_v3_worker():
+        conn, _ = listener.accept()
+        conn.settimeout(TIMEOUT)
+        send_message(
+            conn,
+            {"type": "challenge", "version": 3, "nonce": "n", "auth_required": False},
+            version=3,
+        )
+        conn.recv(1)  # the head hangs up without a hello
+        conn.close()
+
+    thread = threading.Thread(target=fake_v3_worker)
+    thread.start()
+    csr, fmt, _, _, b_q, base, _ = _workload(seed=28)
+    try:
+        with ClusterScheduler(hosts=1, auto_readmit=False) as sched:
+            with pytest.raises(VersionMismatchError):
+                sched.add_host(listener.getsockname())
+            assert sched.stats_snapshot()["handshake_failures"] == 1
+            assert len(sched.live_hosts()) == 1
+            out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
+            snap = sched.stats_snapshot()
+    finally:
+        thread.join(TIMEOUT)
+        listener.close()
+    assert not thread.is_alive()
+    np.testing.assert_array_equal(out, base)
+    assert snap["inline_fallbacks"] == 0 and snap["task_failures"] == 0
 
 
 def test_legacy_peer_sending_tasks_directly_gets_protocol_reject():
@@ -426,9 +469,9 @@ def test_corrupted_result_frame_recovers_bit_identically():
 def test_corrupted_task_frame_detected_by_worker_and_recovered():
     """The other direction: a frame corrupted head→worker is caught by
     the worker's CRC check (never computed on), costs the connection, and
-    the head's resend completes the request exactly.  Under protocol v3
-    the operand bytes travel in ``store_put`` frames (task frames carry
-    keys only), so that is where the corruption is seeded."""
+    the head's resend completes the request exactly.  The operand bytes
+    travel in ``store_put`` frames (task frames carry keys only), so that
+    is where the corruption is seeded."""
     csr, fmt, _, _, b_q, base, _ = _workload(seed=27)
     plan = FaultPlan(seed=5).corrupt_payload(nth=1, type="store_put")
     with ClusterScheduler(
@@ -511,5 +554,20 @@ def test_v2_frames_without_checksums_are_protocol_violations():
     raw = json.dumps(header, separators=(",", ":")).encode()
     a.sendall(_PREFIX.pack(MAGIC, VERSION, 1, len(raw)) + raw)
     with pytest.raises(TransportError, match="no checksum"):
+        recv_message(b)
+    a.close(), b.close()
+
+
+def test_older_prefix_byte_cannot_bypass_payload_checksums():
+    """After the handshake every frame must carry VERSION: a frame whose
+    prefix says v1 is rejected, not read with its CRC32 unchecked."""
+    a, b = _pair()
+    import json
+
+    payload = np.arange(4, dtype=np.float32).tobytes()
+    header = {"type": "result", "arrays": [{"dtype": "<f4", "shape": [4], "crc32": 12345}]}
+    raw = json.dumps(header, separators=(",", ":")).encode()
+    a.sendall(_PREFIX.pack(MAGIC, 1, 1, len(raw)) + raw + _BUF_LEN.pack(16) + payload)
+    with pytest.raises(TransportError, match="version 1"):
         recv_message(b)
     a.close(), b.close()

@@ -1,4 +1,4 @@
-"""Matrix push/pin (protocol v3): PinnedStore semantics + cluster recovery.
+"""Matrix push/pin: PinnedStore semantics + cluster recovery.
 
 The store's contract, end to end:
 
@@ -11,14 +11,11 @@ The store's contract, end to end:
 * every degraded mode — eviction under a tiny budget, ``store_miss``,
   transport faults on the push itself, host failover, readmission — costs
   bytes or a retry, never a failed request, and results stay
-  **bit-identical** to the single-host oracle;
-* legacy v2 peers keep working with task-embedded operands after version
-  negotiation, including inside a mixed-version cluster.
+  **bit-identical** to the single-host oracle.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 
 import numpy as np
@@ -27,7 +24,6 @@ import pytest
 from helpers import random_csr
 
 from repro.cluster import ClusterScheduler, RetryPolicy
-from repro.cluster.head import spawn_local_host
 from repro.cluster.membership import HostHealth
 from repro.cluster.store import (
     PinnedStore,
@@ -51,16 +47,6 @@ def _workload(seed=70, n=13, rows=200, cols=180, density=0.06):
     b_q = quantize(rng.standard_normal((cols, n)), Precision.FP16).astype(np.float32)
     base = ShardScheduler(workers=1).run_spmm(fmt, b_q, Precision.FP16)
     return csr, fmt, b_q, base
-
-
-def _fork_ctx():
-    return mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
-
-
-def _reap(process):
-    if process.is_alive():
-        process.terminate()
-    process.join(10)
 
 
 def _arr(value, length=10):
@@ -297,55 +283,3 @@ def test_readmission_rewarm_ledger_from_reported_inventory():
     assert entry["store_puts"] == 2
     assert entry["store_hits"] > hits_before
     assert snap["store_misses"] == 0
-
-
-# -------------------------------------------------------------- mixed versions
-def test_all_v2_cluster_embeds_operands_and_stays_exact():
-    csr, fmt, b_q, base = _workload(seed=76)
-    with ClusterScheduler(
-        hosts=2, worker_protocol_version=2, speculation_delay_s=None
-    ) as sched:
-        for _ in range(2):
-            out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
-            np.testing.assert_array_equal(out, base)
-        assert all(h.client.wire_version == 2 for h in sched.hosts)
-        snap = sched.stats_snapshot()
-    # Negotiated down to v2: no pushes, no references — every task frame
-    # carried the operand bytes, exactly as before protocol v3.
-    assert snap["store_puts"] == 0
-    assert snap["store_hits"] == 0
-    assert "store_put" not in snap["bytes_by_frame_type"]
-    assert snap["task_failures"] == 0
-
-
-def test_mixed_version_cluster_v2_and_v3_hosts_coexist():
-    """One legacy (v2-capped) host joined to a v3 cluster: keys routed to
-    it are served with embedded operands, keys routed to the v3 host are
-    served by reference — both bit-identical, in the same cluster."""
-    ctx = _fork_ctx()
-    process, address = spawn_local_host(ctx, "legacy", protocol_version=2)
-    try:
-        with ClusterScheduler(hosts=1, speculation_delay_s=None) as sched:
-            legacy = sched.add_host(address)
-            assert legacy.client.wire_version == 2
-            modern = next(h for h in sched.hosts if h.host_id != legacy.host_id)
-            assert modern.client.wire_version >= 3
-            # Find one workload routed to each host.
-            routed = {}
-            for seed in range(77, 99):
-                csr, fmt, b_q, base = _workload(seed=seed)
-                target = sched.affinity_host(csr.content_key()).host_id
-                routed.setdefault(target, (csr, fmt, b_q, base))
-                if len(routed) == 2:
-                    break
-            assert len(routed) == 2, "seeds never spread over both hosts"
-            for csr, fmt, b_q, base in routed.values():
-                out = sched.run_spmm(fmt, b_q, Precision.FP16, target_blocks=7, csr=csr)
-                np.testing.assert_array_equal(out, base)
-            snap = sched.stats_snapshot()
-        # The v3 host was pushed to; the legacy host never was.
-        assert snap["hosts"][modern.host_id]["store_puts"] == 2
-        assert snap["hosts"][legacy.host_id]["store_puts"] == 0
-        assert snap["task_failures"] == 0
-    finally:
-        _reap(process)

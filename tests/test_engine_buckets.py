@@ -4,9 +4,11 @@ A power-law matrix spreads its windows over many blocks-per-window buckets,
 and the shard targets below cut ranges through the middle of buckets.  A
 range only selects bucket rows, so every consumer contracts each window by
 the same matmul: one-shot == chunked (grid 1/7/huge) == ``workers=2`` ==
-``ShardScheduler`` process pool == cluster worker host == head inline
-fallback, bit for bit, for SpMM, SDDMM and the fused layer — and the fused
-layer equals its three-kernel composition.  The matrix has empty windows
+``ShardScheduler`` process pool == one-host cluster == head inline
+fallback (zero hosts), bit for bit, for SpMM, SDDMM and the fused layer —
+and the fused layer equals its three-kernel composition.  Served segment
+matmul joins the grid: the worker and the head's inline fallback run the
+same shard function for every op.  The matrix has empty windows
 and a partial last window; N=1 exercises the matrix-vector shape, TF32 the
 k=4 blocks, and an all-zero matrix the empty layout.
 """
@@ -32,7 +34,7 @@ from repro.kernels.engine import (
     window_aligned_ranges,
 )
 from repro.kernels.sddmm_flash import VECTORS_PER_OUTPUT_BLOCK as GROUP
-from repro.ops import segment_softmax
+from repro.ops import segment_matmul, segment_softmax
 from repro.precision.types import Precision, quantize
 from repro.serve.program import attention_csr, gather_edge_values
 from repro.serve.scheduler import ShardScheduler
@@ -82,7 +84,7 @@ def pool():
 
 @pytest.fixture(scope="module")
 def cluster():
-    with ClusterScheduler(hosts=2) as scheduler:
+    with ClusterScheduler(hosts=1) as scheduler:
         yield scheduler
 
 
@@ -197,6 +199,22 @@ def test_layer_every_consumer_is_bit_identical(precision, n_dense, pool, cluster
     for name, values in got.items():
         np.testing.assert_array_equal(values, base, err_msg=name)
     assert_numerics_contract("layer", precision.value, base, MATRIX, a, b, x, scale=SCALE)
+
+
+def test_segmm_every_consumer_is_bit_identical(pool, cluster, head_inline):
+    data, _, _ = _operands(MATRIX, 1)
+    offsets = np.array([0, 64, 64, 700, MATRIX.n_rows], dtype=np.int64)
+    weights = list(np.random.default_rng(9).standard_normal((4, data.shape[1], 13)))
+    weights = [w.astype(np.float32) for w in weights]
+    base = segment_matmul(data, offsets, weights)
+    got = {
+        name: scheduler.run_segment_matmul(data, offsets, weights)
+        for name, scheduler in (("pool", pool), ("cluster", cluster), ("inline", head_inline))
+    }
+    for name, values in got.items():
+        np.testing.assert_array_equal(values, base, err_msg=name)
+    assert cluster.stats_snapshot()["inline_fallbacks"] == 0
+    assert head_inline.stats_snapshot()["inline_fallbacks"] > 0
 
 
 def test_zero_nnz_matrix_every_consumer_returns_zeros(pool, cluster, head_inline):
